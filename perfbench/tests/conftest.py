@@ -1,0 +1,16 @@
+"""Make the benchmark's modules and the program under test importable.
+
+Run from the repository root: ``python3 -m pytest perfbench/tests -q``.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(BENCH)
+
+for path in (BENCH, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
