@@ -35,7 +35,8 @@ import pytest
 
 from repro.common import SchemeKind, SystemConfig
 from repro.sim.results import SimResult
-from repro.sim.sweep import CellSpec, DiskCellCache, cell_fingerprint, execute_cell
+from repro.sim.sweep import (CellSpec, DirectoryStore, cell_fingerprint,
+                             execute_cell)
 from repro.workloads import BENCHMARK_ORDER
 
 FAST = os.environ.get("REPRO_BENCH_FAST") == "1"
@@ -46,10 +47,10 @@ INSTRUCTIONS = 6_000 if FAST else 12_000
 CellKey = Tuple
 CELL_CACHE: Dict[CellKey, SimResult] = {}
 
-DISK_CACHE: Optional[DiskCellCache] = (
+DISK_CACHE: Optional[DirectoryStore] = (
     None
     if os.environ.get("REPRO_BENCH_CACHE") == "0"
-    else DiskCellCache(os.environ.get("REPRO_CACHE_DIR"))
+    else DirectoryStore(os.environ.get("REPRO_CACHE_DIR"), label="local")
 )
 
 

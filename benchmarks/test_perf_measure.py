@@ -1,21 +1,19 @@
-"""Opt-in perf measurement of the measured-path pipelines: ``REPRO_PERF=1``.
+"""Opt-in perf measurement of the measured path: ``REPRO_PERF=1``.
 
 Times one cell's *measured suffix* — restore the shared warm state and
-run the core's analytic schedule over it — through every pipeline the
-engine has, oldest to newest:
+run the core's analytic schedule over it — through the simulator's two
+pipelines:
 
-* **object**  — the historical per-``Instruction`` oracle
-  (``REPRO_MEASURE=object``): materialize objects, schedule one by one.
-* **packed**  — the PR-5 interpreted column path
-  (``REPRO_KERNELS=packed``): regenerate the packed trace each run and
-  schedule it row by row.  This is the *pre-kernel reference pipeline*;
-  the kernels columns are measured against it.
-* **numpy** / **fallback** — the PR-6 kernel backends: the measured
-  suffix replays from the :meth:`WarmState.measured_chunks` trace cache
-  (generation paid once per warm state, as in a real sweep where many
-  cells and repeats share it) and schedules through ``run_vec`` — a
-  per-chunk prepass precomputes every row's fetch-line and memory
-  latency so the ring-buffer loop touches only scalars.
+* **object** — the per-``Instruction`` oracle (``REPRO_MEASURE=object``):
+  materialize objects, schedule one by one.
+* **fast** — the batched fast path: the measured suffix replays from the
+  :meth:`WarmState.measured_chunks` trace cache (generation paid once
+  per warm state, as in a real sweep where many cells and repeats share
+  it) and schedules through ``run_vec`` — a per-chunk prepass
+  precomputes every row's fetch-line and memory latency so the
+  ring-buffer loop touches only scalars.  Its seconds are recorded as
+  ``kernels_fallback_s``, the column committed baselines already carry
+  for this path, which ``python -m repro bench --compare`` reads.
 
 Two sections are recorded:
 
@@ -25,9 +23,9 @@ Two sections are recorded:
   geomeans are computed over these cells on both the base machine and
   the paper's cached-tree scheme.  Within them, the ``resident`` subset
   (gzip) is the cells whose suffix stays essentially L1-resident: there
-  the kernels win is undiluted and exceeds 2x over the packed
-  reference.  vpr/twolf carry ~5 % genuine L1 misses whose hierarchy
-  walk both pipelines execute identically (Amdahl), landing ~1.5–1.8x.
+  the fast path's win is undiluted.  vpr/twolf carry ~5 % genuine L1
+  misses whose hierarchy walk both pipelines execute identically
+  (Amdahl).
 * **end_to_end** — the memory-bound identity benchmarks (gcc/mcf/swim
   under chash).  There the hash-tree walk bounds the achievable gain,
   so these rows are context, not the headline.
@@ -38,7 +36,7 @@ noise of shared CI machines.  Thresholds are too machine-dependent to
 assert here — this test *records* ``BENCH_measure.json`` (committed as
 the baseline) and ``python -m repro bench --compare BENCH_measure.json``
 gates regressions against it — but it does assert the bit-identity
-across all four pipelines that makes the speedups legitimate.
+between the two pipelines that makes the speedups legitimate.
 """
 
 from __future__ import annotations
@@ -51,8 +49,9 @@ import time
 
 import pytest
 
+from repro.analysis import (PIPELINE, TRAJECTORY_DEFAULT,
+                            append_trajectory_row)
 from repro.common import SchemeKind, table1_config
-from repro.kernels import numpy_available
 from repro.sim.system import (
     MEASURE_PATH_ENV,
     prepare_warm_state,
@@ -71,7 +70,7 @@ OUTPUT = "BENCH_measure.json"
 MACHINERY_BENCHMARKS = ("gzip", "vpr", "twolf")
 MACHINERY_SCHEMES = (SchemeKind.BASE, SchemeKind.CHASH)
 #: the machinery cells whose suffix is essentially L1-resident — the
-#: undiluted kernels measurement (see module docstring).
+#: undiluted fast-path measurement (see module docstring).
 RESIDENT_BENCHMARKS = ("gzip",)
 #: one profile per access pattern, memory-bound under chash: context rows.
 END_TO_END_BENCHMARKS = ("gcc", "mcf", "swim")
@@ -80,8 +79,8 @@ WARMUP = 50_000
 REPEATS = 5
 
 
-def _timed(config, bench, state, kernels, repeats=REPEATS):
-    """Best-of-N CPU time of one pipeline's measured suffix."""
+def _timed(config, bench, state, repeats=REPEATS):
+    """Best-of-N CPU time of the current pipeline's measured suffix."""
     best = float("inf")
     result = None
     for _ in range(repeats):
@@ -89,8 +88,7 @@ def _timed(config, bench, state, kernels, repeats=REPEATS):
         gc.disable()
         start = time.process_time()
         result = run_from_warm_state(config, bench, state,
-                                     instructions=INSTRUCTIONS,
-                                     kernels=kernels)
+                                     instructions=INSTRUCTIONS)
         best = min(best, time.process_time() - start)
         gc.enable()
     return result, best
@@ -99,43 +97,28 @@ def _timed(config, bench, state, kernels, repeats=REPEATS):
 def _timed_object(config, bench, state):
     os.environ[MEASURE_PATH_ENV] = "object"
     try:
-        return _timed(config, bench, state, None, repeats=2)
+        return _timed(config, bench, state, repeats=2)
     finally:
-        os.environ[MEASURE_PATH_ENV] = "packed"
+        del os.environ[MEASURE_PATH_ENV]
 
 
 def _cell(config, bench):
-    """One cell's per-pipeline times, with four-way identity asserted."""
+    """One cell's per-pipeline times, with bit-identity asserted."""
     state = prepare_warm_state(config, bench, warmup=WARMUP)
     by_object, object_s = _timed_object(config, bench, state)
-    by_packed, packed_s = _timed(config, bench, state, "packed")
-    by_fallback, fallback_s = _timed(config, bench, state, "fallback")
-    numpy_s = None
-    if numpy_available():
-        by_numpy, numpy_s = _timed(config, bench, state, "numpy")
-        assert by_numpy.cycles == by_packed.cycles
-        assert by_numpy.stats == by_packed.stats
+    by_fast, fast_s = _timed(config, bench, state)
 
-    # the speedups only count because the results are identical
-    for other in (by_packed, by_fallback):
-        assert other.cycles == by_object.cycles
-        assert other.instructions == by_object.instructions
-        assert other.stats == by_object.stats
+    # the speedup only counts because the results are identical
+    assert by_fast.cycles == by_object.cycles
+    assert by_fast.instructions == by_object.instructions
+    assert by_fast.stats == by_object.stats
 
-    kernels_s = numpy_s if numpy_s is not None else fallback_s
     return {
         "instructions": INSTRUCTIONS,
         "warmup": WARMUP,
-        "backend": "numpy" if numpy_s is not None else "fallback",
         "object_path_s": round(object_s, 3),
-        "packed_path_s": round(packed_s, 3),
-        "kernels_numpy_s": None if numpy_s is None else round(numpy_s, 3),
-        "kernels_fallback_s": round(fallback_s, 3),
-        "kernels_s": round(kernels_s, 3),
-        "vs_object": round(object_s / kernels_s, 2),
-        "vs_packed": round(packed_s / kernels_s, 2),
-        "numpy_vs_fallback": (None if numpy_s is None
-                              else round(fallback_s / numpy_s, 2)),
+        "kernels_fallback_s": round(fast_s, 3),
+        "vs_object": round(object_s / fast_s, 2),
     }
 
 
@@ -144,25 +127,19 @@ def _geomean(values):
         pow(2.0, sum(math.log2(v) for v in values) / len(values)), 2)
 
 
-def test_perf_measure():
-    previous = os.environ.get(MEASURE_PATH_ENV)
+def test_perf_measure(monkeypatch):
+    monkeypatch.delenv(MEASURE_PATH_ENV, raising=False)
     machinery = {}
     end_to_end = {}
-    try:
-        for scheme in MACHINERY_SCHEMES:
-            config = table1_config(scheme)
-            for bench in MACHINERY_BENCHMARKS:
-                machinery[f"{scheme.value}/{bench}"] = _cell(config, bench)
-        chash = table1_config(SchemeKind.CHASH)
-        for bench in END_TO_END_BENCHMARKS:
-            end_to_end[f"chash/{bench}"] = _cell(chash, bench)
-    finally:
-        if previous is None:
-            os.environ.pop(MEASURE_PATH_ENV, None)
-        else:
-            os.environ[MEASURE_PATH_ENV] = previous
+    for scheme in MACHINERY_SCHEMES:
+        config = table1_config(scheme)
+        for bench in MACHINERY_BENCHMARKS:
+            machinery[f"{scheme.value}/{bench}"] = _cell(config, bench)
+    chash = table1_config(SchemeKind.CHASH)
+    for bench in END_TO_END_BENCHMARKS:
+        end_to_end[f"chash/{bench}"] = _cell(chash, bench)
 
-    resident = [cell["vs_packed"] for key, cell in machinery.items()
+    resident = [cell["vs_object"] for key, cell in machinery.items()
                 if key.split("/")[1] in RESIDENT_BENCHMARKS]
     record = {
         "machinery": machinery,
@@ -170,36 +147,29 @@ def test_perf_measure():
         "summary": {
             "machinery_vs_object_geomean": _geomean(
                 [c["vs_object"] for c in machinery.values()]),
-            "machinery_vs_packed_geomean": _geomean(
-                [c["vs_packed"] for c in machinery.values()]),
-            "resident_vs_packed_geomean": _geomean(resident),
+            "resident_vs_object_geomean": _geomean(resident),
             "machinery_min_vs_object": min(
                 c["vs_object"] for c in machinery.values()),
             "end_to_end_vs_object_geomean": _geomean(
                 [c["vs_object"] for c in end_to_end.values()]),
-            "end_to_end_vs_packed_geomean": _geomean(
-                [c["vs_packed"] for c in end_to_end.values()]),
         },
     }
     with open(OUTPUT, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
 
     # every REPRO_PERF=1 run also feeds the perf-trajectory ratchet: the
-    # kernels-column times land as one row keyed by host+backend, so
-    # `python -m repro bench --ratchet` tightens against the best of them
-    from repro.analysis import TRAJECTORY_DEFAULT, append_trajectory_row
-    from repro.kernels import resolve_kernels
+    # fast path's times land as one row under this host's PIPELINE label,
+    # so `python -m repro bench --ratchet` tightens against the best of them
     append_trajectory_row(
         TRAJECTORY_DEFAULT,
         {key: {"instructions": INSTRUCTIONS, "warmup": WARMUP,
-               "seconds": cell["kernels_s"]}
+               "seconds": cell["kernels_fallback_s"]}
          for key, cell in {**machinery, **end_to_end}.items()},
-        backend=resolve_kernels(None),
+        backend=PIPELINE,
     )
 
     summary = record["summary"]
-    print(f"\nwrote {OUTPUT}: kernels vs object "
-          f"x{summary['machinery_vs_object_geomean']} (geomean), vs packed "
-          f"x{summary['machinery_vs_packed_geomean']} "
-          f"(resident x{summary['resident_vs_packed_geomean']}), "
-          + ", ".join(f"{k} x{v['vs_packed']}" for k, v in machinery.items()))
+    print(f"\nwrote {OUTPUT}: fast path vs object "
+          f"x{summary['machinery_vs_object_geomean']} (geomean; resident "
+          f"x{summary['resident_vs_object_geomean']}), "
+          + ", ".join(f"{k} x{v['vs_object']}" for k, v in machinery.items()))

@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.common import KB, MB, SchemeKind
-from repro.sim.sweep import CellSpec, DiskCellCache, run_cells
+from repro.sim.sweep import CellSpec, DirectoryStore, run_cells
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("REPRO_PERF") != "1",
@@ -51,7 +51,7 @@ def test_perf_smoke(tmp_path):
     cold_seq, cold_seq_s = _timed(jobs=1, cache=None)
     cold_par, cold_par_s = _timed(jobs=jobs, cache=None)
 
-    cache = DiskCellCache(tmp_path / "cache")
+    cache = DirectoryStore(tmp_path / "cache", label="local")
     _timed(jobs=1, cache=cache)          # populate
     warm, warm_s = _timed(jobs=1, cache=cache)
     assert len(warm.cached) == len(CELLS)

@@ -2,8 +2,9 @@
 
 Times the two warm-up levers this engine has:
 
-* **packed replay** — one cell's functional warm-up via the packed
-  chunk fast path vs the historical per-``Instruction`` object stream;
+* **packed replay** — one cell's functional warm-up via the fast path
+  (packed chunks through ``warm_vec``) vs the per-``Instruction``
+  object stream (``warm``, the oracle);
 * **snapshot sharing** — a fig7-style timing grid (one warm key, many
   cells) with per-group shared warm state vs warming every cell from
   scratch.
@@ -57,7 +58,7 @@ def test_perf_warm():
     profile = SPEC_PROFILES["gcc"]
     warmup = 200_000
 
-    # -- packed replay vs object stream, one cell's warm-up ----------------
+    # -- fast path vs object stream, one cell's warm-up --------------------
     stream = InstructionStream(profile, 0)
     hierarchy = MemoryHierarchy(config)
     start = time.perf_counter()
@@ -67,7 +68,7 @@ def test_perf_warm():
     stream = InstructionStream(profile, 0)
     packed_hierarchy = MemoryHierarchy(config)
     start = time.perf_counter()
-    packed_hierarchy.warm_packed(
+    packed_hierarchy.warm_vec(
         stream.packed(warmup, line_bytes=config.l1i.block_bytes))
     packed_s = time.perf_counter() - start
 

@@ -10,13 +10,13 @@ Commands:
     Run one simulation cell and print its metrics.
 ``bench --compare BENCH_measure.json [--tolerance T]``
     Perf regression gate: re-measure every cell of the committed
-    baseline through the kernels pipeline and exit nonzero when any
-    cell regressed by more than the tolerance (default 20%).
+    baseline through the fast path and exit nonzero when any cell
+    regressed by more than the tolerance (default 20%).
 ``bench --ratchet [--trajectory BENCH_trajectory.json]``
     Perf-trajectory ratchet: re-measure the ratchet cells, fail on
     >tolerance regression against the best committed row for this
-    host+backend, and append the fresh row (improvements tighten the
-    floor automatically).
+    host, and append the fresh row (improvements tighten the floor
+    automatically).
 ``compare BENCHMARK``
     Run all five schemes on one benchmark and print the comparison.
 ``experiments``
@@ -183,7 +183,6 @@ def _cmd_area(_args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    import dataclasses
     import os
 
     from .analysis import sweep_ipc_table
@@ -195,9 +194,6 @@ def _cmd_sweep(args) -> int:
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    if args.kernels:
-        cells = [dataclasses.replace(cell, kernels=args.kernels)
-                 for cell in cells]
     if args.coordinator:
         return _sweep_distributed(args, cells, sweep_ipc_table)
     store_spec = args.store if args.store is not None \
@@ -513,7 +509,7 @@ def main(argv=None) -> int:
                             "nonzero on any regression beyond --tolerance")
     bench.add_argument("--ratchet", action="store_true",
                        help="perf-trajectory ratchet: compare against the "
-                            "best committed row for this host+backend, "
+                            "best committed row for this host, "
                             "append the fresh measurements, exit nonzero "
                             "on any regression beyond --tolerance")
     bench.add_argument("--trajectory", default="BENCH_trajectory.json",
@@ -554,11 +550,6 @@ def main(argv=None) -> int:
     sweep.add_argument("--prune-tmp", action="store_true",
                        help="remove stale *.json.tmp* droppings from the "
                             "store before sweeping")
-    sweep.add_argument("--kernels", default=None,
-                       choices=["auto", "numpy", "fallback", "packed"],
-                       help="kernel backend for warm-up and measurement "
-                            "(default: $REPRO_KERNELS, then auto); "
-                            "bit-identical either way")
     sweep.add_argument("--coordinator", default=None, metavar="URL",
                        help="distribute the sweep: seed the grid onto this "
                             "store-serve coordinator and wait for repro "

@@ -2,6 +2,7 @@
 
 from .experiments import EXPERIMENTS, Experiment, experiment_index_markdown
 from .perf import (
+    PIPELINE,
     TRAJECTORY_DEFAULT,
     append_trajectory_row,
     compare_bench,
@@ -22,6 +23,7 @@ from .tables import (
 __all__ = [
     "EXPERIMENTS",
     "Experiment",
+    "PIPELINE",
     "TRAJECTORY_DEFAULT",
     "append_trajectory_row",
     "compare_bench",

@@ -3,27 +3,26 @@
 Two gates live here:
 
 * ``python -m repro bench --compare BENCH_measure.json`` re-measures the
-  kernels pipeline for every cell recorded in the baseline and fails
-  when any cell got more than :data:`DEFAULT_TOLERANCE` slower.  The
+  fast path for every cell recorded in the baseline and fails when any
+  cell got more than :data:`DEFAULT_TOLERANCE` slower than the cell's
+  ``kernels_fallback_s`` column (the batched fast path's time).  The
   baseline is CPU time on the machine that produced it, so an
   *absolute* gate would be meaningless across machines — the gate is
   meant for A/B runs on one machine (the CI perf job re-records a fresh
   baseline first and compares a candidate tree against it, see
-  ``.github/workflows/ci.yml``).  Comparison is column-matched: a host
-  without numpy compares its fallback time against the baseline's
-  ``kernels_fallback_s``, never against a numpy number it cannot
-  reproduce.
+  ``.github/workflows/ci.yml``).
 
 * ``python -m repro bench --ratchet`` — the **perf-trajectory ratchet**.
   ``BENCH_trajectory.json`` accumulates one row per recorded run (git
-  SHA, host fingerprint, backend, per-cell CPU seconds); the ratchet
-  re-measures the :data:`RATCHET_CELLS` and fails when any cell is more
-  than the tolerance slower than the *best* committed row for this
-  host+backend.  Every run appends its own row, so an improvement
-  automatically becomes the new floor — speedups ratchet, regressions
-  fail loudly.  Rows from other hosts or backends are kept (they are
-  the trajectory) but never compared against: absolute times only mean
-  something on the machine that produced them.
+  SHA, host fingerprint, pipeline label, per-cell CPU seconds); the
+  ratchet re-measures the :data:`RATCHET_CELLS` and fails when any cell
+  is more than the tolerance slower than the *best* committed
+  :data:`PIPELINE` row for this host.  Every run appends its own row,
+  so an improvement automatically becomes the new floor — speedups
+  ratchet, regressions fail loudly.  Rows from other hosts or pipelines
+  are kept (they are the trajectory) but never compared against:
+  absolute times only mean something on the machine and code path that
+  produced them.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..common.config import SchemeKind, table1_config
-from ..kernels import resolve_kernels
 from ..sim.system import prepare_warm_state, run_from_warm_state
 
 #: per-cell slowdown beyond which the gates fail (>20 %).
@@ -52,6 +50,11 @@ TRAJECTORY_DEFAULT = "BENCH_trajectory.json"
 
 #: trajectory file schema (bump on incompatible row changes).
 TRAJECTORY_SCHEMA = 1
+
+#: pipeline label of simulator trajectory rows: the batched fast path.
+#: Rows recorded under other labels (rows from earlier column backends,
+#: the service's ``serve-http`` rows) stay in the file but never gate it.
+PIPELINE = "batched"
 
 #: the ratchet's measurement geometry — matches the perf benchmarks in
 #: ``benchmarks/test_perf_measure.py`` so their recorded rows feed the
@@ -71,9 +74,8 @@ RATCHET_CELLS: Dict[str, dict] = {
 RATCHET_REPEATS = 3
 
 
-def _measure_cell(key: str, cell: dict, backend: str,
-                  repeats: int) -> float:
-    """Best-of-N CPU seconds of one baseline cell's kernels pipeline."""
+def _measure_cell(key: str, cell: dict, repeats: int) -> float:
+    """Best-of-N CPU seconds of one baseline cell's fast path."""
     scheme_name, benchmark = key.split("/", 1)
     config = table1_config(SchemeKind(scheme_name))
     state = prepare_warm_state(config, benchmark, warmup=cell["warmup"])
@@ -83,18 +85,10 @@ def _measure_cell(key: str, cell: dict, backend: str,
         gc.disable()
         start = time.process_time()
         run_from_warm_state(config, benchmark, state,
-                            instructions=cell["instructions"],
-                            kernels=backend)
+                            instructions=cell["instructions"])
         best = min(best, time.process_time() - start)
         gc.enable()
     return best
-
-
-def _baseline_seconds(cell: dict, backend: str) -> float:
-    """The baseline column matching ``backend`` (see module docstring)."""
-    if backend == "numpy" and cell.get("kernels_numpy_s") is not None:
-        return cell["kernels_numpy_s"]
-    return cell["kernels_fallback_s"]
 
 
 def compare_bench(path: str, tolerance: float = DEFAULT_TOLERANCE,
@@ -106,15 +100,13 @@ def compare_bench(path: str, tolerance: float = DEFAULT_TOLERANCE,
     """
     with open(path, "r", encoding="utf-8") as handle:
         baseline = json.load(handle)
-    backend = resolve_kernels(None)
     lines = [f"perf gate: {path} vs current tree "
-             f"({backend} backend, best of {repeats}, "
-             f"tolerance +{tolerance:.0%})"]
+             f"(best of {repeats}, tolerance +{tolerance:.0%})"]
     ok = True
     for section in SECTIONS:
         for key, cell in sorted(baseline.get(section, {}).items()):
-            base_s = _baseline_seconds(cell, backend)
-            now_s = _measure_cell(key, cell, backend, repeats)
+            base_s = cell["kernels_fallback_s"]
+            now_s = _measure_cell(key, cell, repeats)
             ratio = now_s / base_s
             regressed = ratio > 1.0 + tolerance
             ok = ok and not regressed
@@ -177,7 +169,9 @@ def append_trajectory_row(path: str, cells: Dict[str, dict], backend: str,
     """Append one recorded run to the trajectory file (atomically).
 
     ``cells`` maps ``scheme/benchmark`` to
-    ``{"instructions", "warmup", "seconds"}``.  Returns the appended row.
+    ``{"instructions", "warmup", "seconds"}``; ``backend`` is the
+    pipeline label the row is filed under (:data:`PIPELINE` for the
+    simulator).  Returns the appended row.
     """
     row = {
         "git_sha": git_sha if git_sha is not None else current_git_sha(),
@@ -206,7 +200,8 @@ def append_trajectory_row(path: str, cells: Dict[str, dict], backend: str,
 
 def trajectory_baseline(rows: List[dict], host: str, backend: str,
                         cells: Dict[str, dict]) -> Dict[str, float]:
-    """Best (minimum) committed seconds per cell for ``host``+``backend``.
+    """Best (minimum) committed seconds per cell for ``host`` rows
+    labelled ``backend``.
 
     Only rows whose measurement geometry (instructions, warmup) matches
     ``cells`` count — a row recorded with a different window is a
@@ -240,25 +235,24 @@ def ratchet_bench(path: str = TRAJECTORY_DEFAULT,
     """The perf-trajectory ratchet (see module docstring).
 
     Re-measures every ratchet cell, compares against the best committed
-    row for this host+backend, appends the fresh measurements as a new
-    row (``record=True``), and returns the report lines plus whether
-    every cell stayed within ``tolerance`` of its floor.  A host or
-    backend with no committed history passes and merely seeds the
-    trajectory — the gate tightens from the second run onward.
+    :data:`PIPELINE` row for this host, appends the fresh measurements
+    as a new row (``record=True``), and returns the report lines plus
+    whether every cell stayed within ``tolerance`` of its floor.  A host
+    with no committed history passes and merely seeds the trajectory —
+    the gate tightens from the second run onward.
     """
     cells = cells if cells is not None else RATCHET_CELLS
-    backend = resolve_kernels(None)
     host = host_fingerprint()
     rows = load_trajectory(path)
-    baseline = trajectory_baseline(rows, host, backend, cells)
+    baseline = trajectory_baseline(rows, host, PIPELINE, cells)
     lines = [f"perf ratchet: {path} ({len(rows)} committed rows, "
-             f"host {host}, {backend} backend, best of {repeats}, "
+             f"host {host}, {PIPELINE} pipeline, best of {repeats}, "
              f"tolerance +{tolerance:.0%})"]
     ok = True
     measured: Dict[str, dict] = {}
     for key in sorted(cells):
         cell = cells[key]
-        now_s = _measure_cell(key, cell, backend, repeats)
+        now_s = _measure_cell(key, cell, repeats)
         measured[key] = {"instructions": cell["instructions"],
                          "warmup": cell["warmup"],
                          "seconds": round(now_s, 3)}
@@ -275,7 +269,7 @@ def ratchet_bench(path: str = TRAJECTORY_DEFAULT,
         lines.append(f"  {key:12s} best {best_s:6.3f}s  "
                      f"now {now_s:6.3f}s  ({ratio:5.2f}x)  {verdict}")
     if record:
-        append_trajectory_row(path, measured, backend, host=host)
+        append_trajectory_row(path, measured, PIPELINE, host=host)
         lines.append(f"appended row {len(rows) + 1} to {path}")
     lines.append("perf ratchet: " + ("PASS" if ok else "FAIL"))
     return lines, ok

@@ -151,36 +151,17 @@ class CacheSim:
             return True
         return False
 
-    def access_batched(self, count: int, promoted, write_count: int,
-                       write_blocks, kind: str = "data") -> None:
-        """Apply an in-order run of ``count`` *guaranteed hits* in one call.
-
-        ``promoted`` is the run's unique block addresses ordered most
-        recently accessed first (``ops.unique_recent``); ``write_blocks``
-        are the unique blocks written by the run's ``write_count`` write
-        accesses.  Callers — the vectorized kernels — guarantee every
-        access would hit, so state and counters evolve exactly as the
-        equivalent sequence of :meth:`access` calls, at a fraction of
-        the dispatch cost.
-        """
-        keys = self._kind_keys.get(kind) or self._keys_for(kind)
-        counters = self._counters
-        get = counters.get
-        counters[keys[0]] = get(keys[0], 0) + count
-        if write_count:
-            counters[keys[1]] = get(keys[1], 0) + write_count
-        counters[keys[2]] = get(keys[2], 0) + count
-        self.warm_access_batched(promoted, write_blocks)
-
     def warm_access_batched(self, promoted, write_blocks=()) -> None:
-        """Counter-free :meth:`access_batched` for the warm-path kernels.
+        """Apply an in-order run of *guaranteed* :meth:`warm_access`
+        hits in one call (the batched warm-path kernel).
 
         A run of sequential hit promotions collapses exactly: the
         touched blocks end up ordered by last access (most recent
         first), followed by the untouched ways in their original
         relative order.  ``promoted`` is that order, already deduped
-        (``ops.unique_recent``).  FIFO/random policies do not promote on
-        hit, so only the dirty bits change there — same as
+        (:func:`repro.kernels.warm.unique_recent`); ``write_blocks`` are
+        the run's written blocks.  FIFO/random policies do not promote
+        on hit, so only the dirty bits change there — same as
         :meth:`warm_access`.
         """
         if self._lru and promoted:
@@ -206,7 +187,7 @@ class CacheSim:
 
     def resident_blocks(self) -> set:
         """Every block address currently resident, as a set (the
-        vectorized kernels classify whole columns against it)."""
+        batched kernels classify whole columns against it)."""
         resident: set = set()
         for ways in self._sets:
             resident.update(ways)
@@ -252,7 +233,7 @@ class CacheSim:
     def victim_block(self, block: int) -> Optional[int]:
         """The block a fill of (absent) ``block`` would evict right now.
 
-        Pure peek for the vectorized kernels' poison tracking; exact for
+        Pure peek for the batched kernels' poison tracking; exact for
         the LRU/FIFO tail-eviction policies (the hierarchy never builds
         ``random`` caches).  ``None`` when no eviction would occur.
         """

@@ -191,31 +191,11 @@ class MemoryHierarchy:
         finally:
             self.set_warm_mode(False)
 
-    def warm_packed(self, chunks) -> None:
-        """Replay packed warm-up chunks with timing disabled.
-
-        ``chunks`` is an iterable of ``(codes, values)`` column pairs from
-        :meth:`InstructionStream.packed
-        <repro.workloads.generators.InstructionStream.packed>` generated
-        with ``line_bytes=config.l1i.block_bytes``.  This consumes one row
-        per *memory event* — the generator already performed the
-        one-probe-per-I-line dedup that :meth:`warm` does inline — and
-        drives the same TLB/L1/L2/scheme state transitions through
-        counter-free fast paths, so the end state is bit-identical to
-        :meth:`warm` over the equivalent object stream while allocating no
-        :class:`Instruction` objects at all.
-        """
-        self.set_warm_mode(True)
-        try:
-            for codes, values in chunks:
-                self._warm_interp_chunk(codes, values)
-        finally:
-            self.set_warm_mode(False)
-
     def _warm_interp_chunk(self, codes, values) -> int:
-        """Interpret one packed warm chunk row by row; returns the L1
-        miss count (the adaptive gate in :meth:`warm_vec` uses it as the
-        next chunk's hit-fraction estimate)."""
+        """Interpret one packed warm chunk row by row — the body of
+        :meth:`warm` over columns, through the counter-free warm paths.
+        Returns the L1 miss count (the adaptive gate in :meth:`warm_vec`
+        uses it as the next chunk's hit-fraction estimate)."""
         l1i_warm = self.l1i.warm_access
         l1d_warm = self.l1d.warm_access
         itlb_warm = self.itlb.warm_access
@@ -249,24 +229,31 @@ class MemoryHierarchy:
                         warm_l1_miss(physical, True, "data", l1d)
         return misses
 
-    def warm_vec(self, chunks, ops) -> None:
-        """Vectorized twin of :meth:`warm_packed`.
+    def warm_vec(self, chunks) -> None:
+        """Replay packed warm-up chunks with timing disabled; the fast
+        twin of :meth:`warm`.
 
-        Same packed ``(codes, values)`` chunks, same end state bit for
-        bit — but on hit-dominated chunks the hit rows are resolved in
-        dependency-free batches using the column primitives of ``ops``
-        (a :mod:`repro.kernels` backend) instead of one interpreted
-        dispatch per row, with misses and evictions dropping to the
-        exact per-row machinery (:meth:`_warm_l1_miss` and friends;
-        batched LRU application is exact — see
+        ``chunks`` is an iterable of ``(codes, values)`` column pairs from
+        :meth:`InstructionStream.packed
+        <repro.workloads.generators.InstructionStream.packed>` generated
+        with ``line_bytes=config.l1i.block_bytes``: one row per *memory
+        event* — the generator already performed the one-probe-per-I-line
+        dedup that :meth:`warm` does inline — so no :class:`Instruction`
+        object is allocated and the end state is bit-identical to
+        :meth:`warm` over the equivalent object stream.
+
+        On hit-dominated chunks the hit rows are resolved in
+        dependency-free batches (:mod:`repro.kernels.warm`) instead of
+        one interpreted dispatch per row, with misses and evictions
+        dropping to the exact per-row machinery (:meth:`_warm_l1_miss`
+        and friends; batched LRU application is exact — see
         :meth:`CacheSim.warm_access_batched
-        <repro.cache.cache.CacheSim.warm_access_batched>`).
-
-        The gate is adaptive: each chunk's observed hit fraction decides
-        the *next* chunk's path, and miss-heavy chunks run through the
-        same row interpreter :meth:`warm_packed` uses — the packed row
-        body is only ~3 bound-method calls, so columnization can only
-        pay where long guaranteed-hit runs dominate.
+        <repro.cache.cache.CacheSim.warm_access_batched>`).  The gate is
+        adaptive: each chunk's observed hit fraction decides the *next*
+        chunk's path, and miss-heavy chunks run through the row
+        interpreter :meth:`_warm_interp_chunk` — its row body is only ~3
+        bound-method calls, so batching can only pay where long
+        guaranteed-hit runs dominate.
         """
         self.set_warm_mode(True)
         data_offset = self.scheme.data_address(0)
@@ -285,13 +272,13 @@ class MemoryHierarchy:
                     fast_fraction = 1.0 - misses / n
                 else:
                     plan = warm_kernel.build_plan(
-                        ops, codes, values, data_offset, page_bits,
+                        codes, values, data_offset, page_bits,
                         i_offset, d_offset)
-                    fast_fraction = self._warm_vec_chunk(ops, plan)
+                    fast_fraction = self._warm_vec_chunk(plan)
         finally:
             self.set_warm_mode(False)
 
-    def _warm_vec_chunk(self, ops, plan) -> float:
+    def _warm_vec_chunk(self, plan) -> float:
         """Drain one planned chunk: batch the hit spans, interpret the
         rest.  Returns the chunk's hit-candidate fraction (the adaptive
         gate's estimate for the next chunk).  Chunks whose fraction
@@ -301,15 +288,15 @@ class MemoryHierarchy:
         live = warm_kernel.Residency(
             self.l1i.resident_blocks(), self.l1d.resident_blocks(),
             self.itlb.resident_pages(), self.dtlb.resident_pages())
-        mask = warm_kernel.fast_mask(ops, plan, live)
-        fast_fraction = ops.count_true(mask) / n
+        mask = warm_kernel.fast_mask(plan, live)
+        fast_fraction = sum(mask) / n
         if fast_fraction < warm_kernel.MIN_FAST_FRACTION:
-            self._warm_vec_interp(plan, 0, n)
+            self._warm_interp_chunk(plan.codes, plan.values)
             return fast_fraction
         poison = warm_kernel.Poison()
-        blk_l, page_l, is_if_l = plan.blk_l, plan.page_l, plan.is_if_l
+        blk_l, page_l, is_if_l = plan.blk, plan.page, plan.is_if
         cur = 0
-        for index in ops.false_indices(mask):
+        for index in [row for row, hit in enumerate(mask) if not hit]:
             # Rows whose block/page was filled after the mask was built
             # are guaranteed hits now — keep them inside the span.
             if is_if_l[index]:
@@ -320,14 +307,14 @@ class MemoryHierarchy:
                     and page_l[index] in live.dtlb):
                 continue
             if cur < index:
-                self._warm_vec_hits(ops, plan, cur, index, poison, live)
+                self._warm_vec_hits(plan, cur, index, poison, live)
             self._warm_vec_row(plan, index, poison, live)
             cur = index + 1
         if cur < n:
-            self._warm_vec_hits(ops, plan, cur, n, poison, live)
+            self._warm_vec_hits(plan, cur, n, poison, live)
         return fast_fraction
 
-    def _warm_vec_hits(self, ops, plan, start: int, end: int,
+    def _warm_vec_hits(self, plan, start: int, end: int,
                        poison, live) -> None:
         """Apply a guaranteed-hit run.  Long runs are batched (screened
         in one C-speed ``isdisjoint`` pass against the poison sets);
@@ -340,58 +327,22 @@ class MemoryHierarchy:
                 row_interp(plan, row, poison, live)
             return
         if poison.empty():
-            self._warm_vec_batch(ops, plan, start, end)
+            self._warm_vec_batch(plan, start, end)
             return
-        blocks = plan.blk_l[start:end]
-        pages = plan.page_l[start:end]
+        blocks = plan.blk[start:end]
+        pages = plan.page[start:end]
         if (poison.l1i.isdisjoint(blocks) and poison.l1d.isdisjoint(blocks)
                 and poison.itlb.isdisjoint(pages)
                 and poison.dtlb.isdisjoint(pages)):
-            self._warm_vec_batch(ops, plan, start, end)
+            self._warm_vec_batch(plan, start, end)
         else:
-            self._warm_vec_span(ops, plan, start, end, poison, live)
+            self._warm_vec_span(plan, start, end, poison, live)
 
-    def _warm_vec_interp(self, plan, start: int, end: int) -> None:
-        """Row-by-row drain of ``[start, end)`` — the exact
-        :meth:`warm_packed` body over the plan's columns, for chunks (or
-        tails) where batching cannot pay."""
-        codes_l = plan.codes_l
-        values_l = plan.values_l
-        offset = plan.data_offset
-        l1i_warm = self.l1i.warm_access
-        l1d_warm = self.l1d.warm_access
-        itlb_warm = self.itlb.warm_access
-        dtlb_warm = self.dtlb.warm_access
-        warm_l1_miss = self._warm_l1_miss
-        valid_bits = self.config.write_allocate_valid_bits
-        l1i, l1d = self.l1i, self.l1d
-        for row in range(start, end):
-            code = codes_l[row]
-            value = values_l[row]
-            if code == WARM_IFETCH:
-                itlb_warm(value)
-                physical = value + offset
-                if not l1i_warm(physical, False):
-                    warm_l1_miss(physical, False, "instr", l1i)
-            elif code == WARM_LOAD:
-                dtlb_warm(value)
-                physical = value + offset
-                if not l1d_warm(physical, False):
-                    warm_l1_miss(physical, False, "data", l1d)
-            else:  # WARM_STORE or WARM_STORE_FULL
-                dtlb_warm(value)
-                physical = value + offset
-                if not l1d_warm(physical, True):
-                    if code == WARM_STORE_FULL and valid_bits:
-                        self._warm_full_block_store_miss(physical)
-                    else:
-                        warm_l1_miss(physical, True, "data", l1d)
-
-    def _warm_vec_span(self, ops, plan, start: int, end: int,
+    def _warm_vec_span(self, plan, start: int, end: int,
                        poison, live) -> None:
         """Apply rows ``[start, end)`` — all hit candidates, at least
         one of them poisoned — screening each row individually."""
-        blk_l, page_l, is_if_l = plan.blk_l, plan.page_l, plan.is_if_l
+        blk_l, page_l, is_if_l = plan.blk, plan.page, plan.is_if
         run = start
         for row in range(start, end):
             if is_if_l[row]:
@@ -402,39 +353,40 @@ class MemoryHierarchy:
                          or page_l[row] in poison.dtlb)
             if stale:
                 if run < row:
-                    self._warm_vec_batch(ops, plan, run, row)
+                    self._warm_vec_batch(plan, run, row)
                 self._warm_vec_row(plan, row, poison, live)
                 run = row + 1
         if run < end:
-            self._warm_vec_batch(ops, plan, run, end)
+            self._warm_vec_batch(plan, run, end)
 
-    def _warm_vec_batch(self, ops, plan, start: int, end: int) -> None:
+    def _warm_vec_batch(self, plan, start: int, end: int) -> None:
         """Apply a run of guaranteed hits.  Instruction and data rows
         touch disjoint structures (L1-I/I-TLB vs L1-D/D-TLB), so
         applying each structure's sub-sequence in order is exact; LRU
         promotion only needs each structure's *unique* addresses in
         most-recent-first order, so the dedup runs at column speed."""
-        if_blocks = ops.unique_recent(plan.blk, plan.is_if, start, end)
+        unique_recent = warm_kernel.unique_recent
+        if_blocks = unique_recent(plan.blk, plan.is_if, start, end)
         if if_blocks:
             self.l1i.warm_access_batched(if_blocks)
             self.itlb.warm_access_batched(
-                ops.unique_recent(plan.page, plan.is_if, start, end))
-        data_blocks = ops.unique_recent(plan.blk, plan.not_if, start, end)
+                unique_recent(plan.page, plan.is_if, start, end))
+        data_blocks = unique_recent(plan.blk, plan.not_if, start, end)
         if data_blocks:
             self.l1d.warm_access_batched(
                 data_blocks,
-                ops.unique_vals(plan.blk, plan.is_wr, start, end))
+                warm_kernel.unique_vals(plan.blk, plan.is_wr, start, end))
             self.dtlb.warm_access_batched(
-                ops.unique_recent(plan.page, plan.not_if, start, end))
+                unique_recent(plan.page, plan.not_if, start, end))
 
     def _warm_vec_row(self, plan, row: int, poison, live) -> None:
-        """Interpret one row exactly like :meth:`warm_packed`, keeping
-        the residency sets exact (fills add, evictions — peeked before
-        they happen — move the victim into the poison sets)."""
-        code = plan.codes_l[row]
-        value = plan.values_l[row]
-        block = plan.blk_l[row]
-        page = plan.page_l[row]
+        """Interpret one row exactly like :meth:`_warm_interp_chunk`,
+        keeping the residency sets exact (fills add, evictions — peeked
+        before they happen — move the victim into the poison sets)."""
+        code = plan.codes[row]
+        value = plan.values[row]
+        block = plan.blk[row]
+        page = plan.page[row]
         if code == WARM_IFETCH:
             evicted = self.itlb.victim_page(page)
             self.itlb.warm_access(value)

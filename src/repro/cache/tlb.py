@@ -55,22 +55,13 @@ class TLBSim:
             ways.pop()
         ways.insert(0, page)
 
-    def access_batched(self, count: int, promoted) -> None:
-        """Apply an in-order run of ``count`` *guaranteed hits* (0 cycles
-        each); counters and LRU state evolve exactly as the equivalent
-        sequence of :meth:`access` calls."""
-        counters = self._counters
-        get = counters.get
-        counters["accesses"] = get("accesses", 0) + count
-        counters["hits"] = get("hits", 0) + count
-        self.warm_access_batched(promoted)
-
     def warm_access_batched(self, promoted) -> None:
-        """Counter-free :meth:`access_batched`: batch LRU promotion of a
-        guaranteed-hit run.  ``promoted`` is the run's unique pages
-        ordered most recently accessed first (``ops.unique_recent``);
-        they end up ahead of the untouched entries, which keep their
-        original relative order."""
+        """Batch LRU promotion of a run of *guaranteed*
+        :meth:`warm_access` hits.  ``promoted`` is the run's unique pages
+        ordered most recently accessed first
+        (:func:`repro.kernels.warm.unique_recent`); they end up ahead of
+        the untouched entries, which keep their original relative
+        order."""
         if not promoted:
             return
         n_sets = self._n_sets
@@ -92,7 +83,7 @@ class TLBSim:
 
     def victim_page(self, page: int) -> Optional[int]:
         """The page a miss on ``page`` would evict right now (pure peek
-        for the vectorized kernels' poison tracking; ``None`` if ``page``
+        for the batched kernels' poison tracking; ``None`` if ``page``
         is resident or the set has a free way)."""
         ways = self._sets[page % self._n_sets]
         if page not in ways and len(ways) >= self._associativity:

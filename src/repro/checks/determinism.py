@@ -25,20 +25,6 @@ the ambient nondeterminism sources at the AST level:
   dependency from this checker; imports of RNG/entropy modules must be
   module-level.
 
-Modules that import numpy (the ``repro.kernels`` backends) get two
-additional rules:
-
-* ``det-numpy-random`` — anything under ``numpy.random``: the legacy
-  API shares global state, and even ``default_rng`` draws would have to
-  be threaded like ``random.Random`` — the kernels are pure column
-  arithmetic and must not draw randomness at all.
-* ``det-numpy-sum`` — reductions (``sum``/``mean``/``prod``/``cumsum``/
-  ``dot``) without an explicit ``dtype=``: the accumulator dtype then
-  depends on the input dtype and platform (e.g. a ``bool_`` column sums
-  to platform ``int_``), so results can differ between the numpy and
-  fallback backends or across machines.  Pinning ``dtype`` (or using
-  ``count_nonzero``) keeps the arithmetic exact and bit-stable.
-
 Scope: only *simulation* packages are linted (``SIM_SCOPES``); crypto
 key generation legitimately wants OS entropy and the analysis/report
 layer may format timestamps.  Fixture runs pass ``assume_sim=True``.
@@ -77,20 +63,6 @@ _GLOBAL_RANDOM = {
 
 _ENTROPY_MODULES = {"secrets"}
 _LOCAL_IMPORT_BAN = {"random", "secrets", "uuid"}
-
-#: numpy reductions whose accumulator dtype follows the input dtype —
-#: exact only when the call pins ``dtype=`` explicitly.
-_NUMPY_REDUCTIONS = {"sum", "mean", "prod", "cumsum", "cumprod", "nansum",
-                     "dot"}
-
-
-def _imports_numpy(module: ModuleInfo) -> bool:
-    """Whether the numpy-specific rules apply to this module."""
-    if any(origin == "numpy" for origin in module.module_aliases.values()):
-        return True
-    return any(origin == "numpy"
-               for origin, _ in module.from_imports.values())
-
 
 def _is_sim_module(module: ModuleInfo, assume_sim: bool) -> bool:
     if assume_sim:
@@ -242,8 +214,6 @@ def check_determinism(index: ProjectIndex,
         self_sets_by_class = _collect_self_sets(module)
         _scan_module_calls(module, findings)
         _scan_local_imports(module, findings)
-        if _imports_numpy(module):
-            _scan_numpy_methods(module, findings)
         # set-iteration: module scope plus every function scope, with
         # methods knowing their class's set-typed attributes
         _scan_function_scope(module, module.tree, set(), findings)
@@ -296,23 +266,6 @@ def _scan_module_calls(module: ModuleInfo,
                     f"random.{leaf}() uses the process-global generator; "
                     "draw from a seeded random.Random instance",
                 ))
-        elif origin == "numpy":
-            if chain == "random" or chain.startswith("random."):
-                findings.append(Finding(
-                    module.display, node.lineno, "det-numpy-random",
-                    f"numpy.{chain} draws numpy randomness; the kernel "
-                    "backends are pure column arithmetic and must not "
-                    "draw randomness at all",
-                ))
-            elif (leaf in _NUMPY_REDUCTIONS
-                  and not any(kw.arg == "dtype" for kw in node.keywords)):
-                findings.append(Finding(
-                    module.display, node.lineno, "det-numpy-sum",
-                    f"numpy.{chain}() without dtype=; the accumulator "
-                    "dtype follows the input dtype, so results are not "
-                    "bit-stable across backends/platforms — pin dtype "
-                    "or use count_nonzero",
-                ))
         elif origin == "os" and leaf == "urandom":
             findings.append(Finding(
                 module.display, node.lineno, "det-entropy",
@@ -339,32 +292,6 @@ def _scan_module_calls(module: ModuleInfo,
                 module.display, node.lineno, "det-wallclock",
                 f"datetime {leaf}() reads the wall clock",
             ))
-
-
-def _scan_numpy_methods(module: ModuleInfo,
-                        findings: List[Finding]) -> None:
-    """Method-form reductions (``mask.sum()``) in numpy-importing
-    modules; the function-form (``np.sum(...)``) is handled by
-    :func:`_scan_module_calls` via import resolution."""
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            continue
-        if func.attr not in _NUMPY_REDUCTIONS:
-            continue
-        if _resolve_call(module, node) is not None:
-            continue  # np.sum(...) — already linted as a module call
-        if any(kw.arg == "dtype" for kw in node.keywords):
-            continue
-        findings.append(Finding(
-            module.display, node.lineno, "det-numpy-sum",
-            f".{func.attr}() without dtype= in a numpy-importing module; "
-            "the accumulator dtype follows the array dtype, so results "
-            "are not bit-stable across backends/platforms — pin dtype "
-            "or use count_nonzero",
-        ))
 
 
 def _scan_local_imports(module: ModuleInfo,

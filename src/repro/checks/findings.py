@@ -44,15 +44,6 @@ RULES = {
         "import of an RNG/entropy module inside a function body; import "
         "at module level so the dependency is visible to this checker"
     ),
-    "det-numpy-random": (
-        "numpy.random call in simulation code; the kernel backends are "
-        "pure column arithmetic and must not draw randomness"
-    ),
-    "det-numpy-sum": (
-        "numpy reduction (sum/mean/prod/...) without an explicit dtype= "
-        "in a numpy-importing module; the accumulator dtype follows the "
-        "input dtype, so results are not bit-stable across backends"
-    ),
     "snap-missing-field": (
         "attribute mutated on the warm path but neither captured by "
         "snapshot()/snapshot_state() nor on the counter-exclusion "

@@ -32,9 +32,9 @@ class SkewedTLB:
 
 class LossyCore:
     """``run_packed`` forgets the redirect update its object twin
-    performs — the packed fast path would schedule fetches differently
-    than the oracle, breaking bit-identity (the ``_packed`` suffix
-    pairing rule)."""
+    performs — the column path would schedule fetches differently than
+    the oracle, breaking bit-identity (the ``_packed`` suffix pairing
+    rule)."""
 
     def __init__(self):
         self._redirect = 0
@@ -53,32 +53,9 @@ class LossyCore:
                 self._retired.append(instruction)
 
 
-class DriftingCore:
-    """``run_vec`` forgets the fetch-line carry its packed oracle
-    maintains — vectorized chunks would re-fetch the first line (the
-    ``_vec`` suffix rule, pairing against ``run_packed`` first)."""
-
-    def __init__(self):
-        self._retired = []
-        self._fetch_line = -1
-        self.stats = {}
-
-    def run_packed(self, chunks):
-        for chunk in chunks:
-            for instruction in chunk:
-                self._retired.append(instruction)
-                self._fetch_line = instruction
-
-    def run_vec(self, chunks):  # expect: sym-counter-asymmetry
-        for chunk in chunks:
-            for instruction in chunk:
-                self._retired.append(instruction)
-
-
 class SkewedBatchedCache:
     """``access_batched`` forgets the dirty-bit update its per-row twin
-    performs (the ``_batched`` suffix rule, falling back to ``access``
-    when no ``access_packed`` exists)."""
+    performs (the ``_batched`` suffix rule)."""
 
     def __init__(self):
         self._ways = []

@@ -1,26 +1,26 @@
 """Counter-symmetry checker — pass 3 of ``python -m repro check``.
 
-Packed warm-up replays through counter-free twins of the hot-path
-methods: ``warm_access``/``access``, ``warm_fill``/``fill``,
+Warm-up replays through counter-free twins of the hot-path methods:
+``warm_access``/``access``, ``warm_fill``/``fill``,
 ``_warm_l1_miss``/``_l1_miss``, ...  The twins exist purely to skip
 statistics bookkeeping, so they must perform the *same functional state
 transitions* as their counted counterparts — otherwise a warmed cache is
-not the cache the measured run would have produced, and the packed-warm
-and object-warm paths silently diverge.
+not the cache the measured run would have produced, and the fast warm
+path and the object warm path silently diverge.
 
-The same discipline covers the packed *measured* path: ``run_packed``
-must drive the hierarchy and core state exactly like ``run``, and
+The same discipline covers the fast path's batched twins: ``run_vec``
+must drive the hierarchy and core state exactly like ``run``,
+``warm_vec`` like ``warm``, ``access_batched`` like ``access``, and
 ``take_packed`` must advance the generator exactly like ``take`` —
-anything less and the packed fast path stops being bit-identical to the
-object oracle.
+anything less and the fast path stops being bit-identical to the object
+oracle.
 
 The pass pairs methods by naming convention (``warm_X`` ↔ ``X``,
-``_warm_X`` ↔ ``_X``, ``X_packed`` ↔ ``X`` — which also pairs the
-``warm_packed`` ↔ ``warm`` orchestrators — and the kernel-backend twins
-``X_vec`` / ``X_batched`` ↔ ``X_packed``, falling back to ``X``; a
-method without a twin is skipped), computes each side's
-mutated-attribute set over its same-class call closure, subtracts the
-declared counter attributes, and flags any remaining difference.
+``_warm_X`` ↔ ``_X``, ``X_packed`` ↔ ``X``, ``X_vec`` ↔ ``X`` and
+``X_batched`` ↔ ``X``; a method without a twin is skipped), computes
+each side's mutated-attribute set over its same-class call closure,
+subtracts the declared counter attributes, and flags any remaining
+difference.
 """
 
 from __future__ import annotations
@@ -39,13 +39,10 @@ def _twin_names(name: str) -> List[str]:
     """Candidate counted-twin names for ``name``, most specific first.
 
     ``warm_access`` pairs with ``access``; ``_warm_l1_miss`` with
-    ``_l1_miss``; ``run_packed``/``take_packed`` with ``run``/``take``.
-    ``warm_packed`` yields both ``packed`` (via the prefix rule) and
-    ``warm`` (via the suffix rule) — whichever exists on the class wins.
-    The vectorized kernel twins ``run_vec``/``access_batched`` pair with
-    their packed oracle first (``run_packed``/``access_packed``), then
-    with the plain counted method (``run``/``access``): the whole
-    backend chain must drive the same functional state.
+    ``_l1_miss``; ``take_packed`` with ``take``; the batched twins
+    ``run_vec``/``access_batched`` with ``run``/``access``.
+    ``warm_vec`` yields both ``vec`` (via the prefix rule) and ``warm``
+    (via the suffix rule) — whichever exists on the class wins.
     """
     candidates: List[str] = []
     if name.startswith("warm_"):
@@ -56,8 +53,7 @@ def _twin_names(name: str) -> List[str]:
         candidates.append(name[:-len("_packed")])
     for suffix in ("_vec", "_batched"):
         if name.endswith(suffix) and len(name) > len(suffix):
-            base = name[:-len(suffix)]
-            candidates.extend((base + "_packed", base))
+            candidates.append(name[:-len(suffix)])
     return [c for c in candidates if c and c != name]
 
 

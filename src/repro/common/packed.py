@@ -6,8 +6,8 @@ side has to import another:
 
 * **warm mode** — :meth:`InstructionStream.packed
   <repro.workloads.generators.InstructionStream.packed>` feeding
-  :meth:`MemoryHierarchy.warm_packed
-  <repro.cache.hierarchy.MemoryHierarchy.warm_packed>`.  A chunk is a
+  :meth:`MemoryHierarchy.warm_vec
+  <repro.cache.hierarchy.MemoryHierarchy.warm_vec>`.  A chunk is a
   pair of parallel ``array`` columns ``(codes, values)``: ``codes``
   (``'B'``) holds one ``WARM_*`` kind code per row, ``values`` (``'Q'``)
   the row's address.  A row is one *memory event* of the warm-up replay,
@@ -18,7 +18,7 @@ side has to import another:
 
 * **measured mode** — :meth:`InstructionStream.take_packed
   <repro.workloads.generators.InstructionStream.take_packed>` feeding
-  :meth:`OutOfOrderCore.run_packed <repro.cpu.ooo.OutOfOrderCore.run_packed>`.
+  :meth:`OutOfOrderCore.run_vec <repro.cpu.ooo.OutOfOrderCore.run_vec>`.
   A chunk is a 6-tuple of parallel columns
   ``(kinds, pcs, addresses, dep1s, dep2s, latencies)`` with one row per
   *instruction* — the timed schedule needs every row, so nothing is

@@ -28,7 +28,6 @@ from ..common.config import CoreConfig
 from ..common.packed import MEAS_BRANCH_MISPREDICT, MEAS_LOAD, MEAS_STORE_FULL
 from ..common.stats import StatGroup
 from ..common.units import log2_exact
-from ..kernels import load_ops, resolve_kernels
 from ..kernels import measure as measure_kernel
 from .isa import Instruction
 
@@ -188,313 +187,42 @@ class OutOfOrderCore:
         return CoreResult(instructions=count, cycles=cycles,
                           last_check_done=latest_check, end_cycle=end_cycle)
 
-    def run_packed(self, chunks, start_cycle: int = 0) -> CoreResult:
+    def run_vec(self, chunks, start_cycle: int = 0) -> CoreResult:
         """Schedule packed measured-mode chunks; the fast twin of :meth:`run`.
 
         ``chunks`` is an iterable of column tuples from
         :meth:`InstructionStream.take_packed
         <repro.workloads.generators.InstructionStream.take_packed>`.  The
-        analytic schedule is the same one :meth:`run` computes, expressed
-        over parallel columns instead of :class:`Instruction` objects, so
-        the :class:`CoreResult` and the statistics are bit-identical to
-        running the equivalent object stream — only the wall-clock differs.
-
-        The unbounded ``complete``/``commit``/``mem_commit`` lists become
-        ring buffers sized by the machine's own windows: an operand
-        producer more than ``ruu_entries`` back has necessarily committed
-        before this instruction fetches (the RUU-occupancy bound makes
-        ``fetch_time >= commit[index - ruu]``, commit times are monotone,
-        and completion never exceeds commit), so its completion time can
-        never be the binding constraint and the dependency lookup is
-        skipped outside the window.  The memory hierarchy is consulted
-        exactly where :meth:`run` consults it: once per new fetch line and
-        once per load/store row; ALU/FP/branch rows never leave the core.
-        """
-        cfg = self.config
-        fetch_width = cfg.fetch_width
-        commit_width = cfg.commit_width
-        ruu = cfg.ruu_entries
-        lsq = cfg.lsq_entries
-        hierarchy = self.hierarchy
-        hier_ifetch = hierarchy.ifetch
-        hier_load = hierarchy.load
-        hier_store = hierarchy.store
-        iline_shift = self._iline_shift
-        l1i_latency = hierarchy.config.l1i.latency_cycles
-
-        window = max(ruu, commit_width + 1)
-        # round the rings up to powers of two so the hot loop can index with
-        # a mask instead of a modulo; slots are only read within `window`
-        # (resp. `lsq`) of being written, so the extra slack slots are inert
-        ring = 1 << (window - 1).bit_length()
-        mask = ring - 1
-        mem_ring = 1 << (lsq - 1).bit_length()
-        mem_mask = mem_ring - 1
-        complete = [0] * ring     # completion times, last `window` entries
-        commit = [0] * ring       # commit times, last `window` entries
-        mem_commit = [0] * mem_ring  # commit times of the last `lsq` mem ops
-        mem_count = 0
-        prev_commit = 0           # commit time of instruction index-1
-
-        meas_load = MEAS_LOAD
-        meas_store_full = MEAS_STORE_FULL
-        meas_mispredict = MEAS_BRANCH_MISPREDICT
-        frontend_depth = FRONTEND_DEPTH
-        mispredict_penalty = MISPREDICT_PENALTY
-
-        fetch_cycle = start_cycle
-        fetched_in_cycle = 0
-        fetch_blocked_until = start_cycle
-        last_fetch_line = -1
-        latest_check = 0
-        count = 0
-        loads = stores = mispredictions = 0
-        icache_stall = itlb_stall = 0
-
-        for kinds, pcs, addresses, dep1s, dep2s, latencies in chunks:
-            rows = zip(kinds, pcs, addresses, dep1s, dep2s, latencies)
-            # prologue: full-generality body while the window fills.  Once
-            # `count >= window` (>= ruu, commit_width and any dependency
-            # distance the steady loop honours), the guards `index >= ruu`,
-            # `dep <= index`, `index > 0` and `index >= commit_width` are
-            # always true, so the steady-state loop below drops them.
-            if count < window:
-                for kind, pc, address, dep1, dep2, latency in rows:
-                    index = count
-                    count += 1
-
-                    # ---- fetch ----------------------------------------------
-                    if fetched_in_cycle >= fetch_width:
-                        fetch_cycle += 1
-                        fetched_in_cycle = 0
-                    fetch_time = (fetch_cycle
-                                  if fetch_cycle >= fetch_blocked_until
-                                  else fetch_blocked_until)
-
-                    if index >= ruu:
-                        occupancy = commit[(index - ruu) & mask]
-                        if occupancy > fetch_time:
-                            fetch_time = occupancy
-                    is_memory = meas_load <= kind <= meas_store_full
-                    if is_memory and mem_count >= lsq:
-                        occupancy = mem_commit[(mem_count - lsq) & mem_mask]
-                        if occupancy > fetch_time:
-                            fetch_time = occupancy
-
-                    line = pc >> iline_shift
-                    if line != last_fetch_line:
-                        ready, _, itlb_cycles = hier_ifetch(pc, fetch_time)
-                        if ready > fetch_time + l1i_latency:
-                            if itlb_cycles:
-                                itlb_stall += itlb_cycles
-                            cache_delay = ready - fetch_time - itlb_cycles
-                            if cache_delay > l1i_latency:
-                                icache_stall += cache_delay
-                            fetch_time = ready
-                        last_fetch_line = line
-                    if fetch_time > fetch_cycle:
-                        fetch_cycle = fetch_time
-                        fetched_in_cycle = 0
-                    fetched_in_cycle += 1
-
-                    # ---- issue / execute ------------------------------------
-                    ready = fetch_time + frontend_depth
-                    if dep1 and dep1 <= index and dep1 <= window:
-                        produced = complete[(index - dep1) & mask]
-                        if produced > ready:
-                            ready = produced
-                    if dep2 and dep2 <= index and dep2 <= window:
-                        produced = complete[(index - dep2) & mask]
-                        if produced > ready:
-                            ready = produced
-
-                    if kind == meas_load:
-                        data_ready, check_done = hier_load(address, ready)
-                        done = (data_ready if data_ready > ready + 1
-                                else ready + 1)
-                        if check_done > latest_check:
-                            latest_check = check_done
-                        loads += 1
-                    elif is_memory:  # MEAS_STORE or MEAS_STORE_FULL
-                        store_done, check_done = hier_store(
-                            address, ready, full_block=kind == meas_store_full)
-                        done = ready + 1
-                        if check_done > latest_check:
-                            latest_check = check_done
-                        stores += 1
-                        ready_for_lsq = (store_done if store_done > done
-                                         else done)
-                    else:
-                        done = ready + latency
-                    slot = index & mask
-                    complete[slot] = done
-
-                    # ---- commit ---------------------------------------------
-                    commit_time = done
-                    if index > 0 and prev_commit > commit_time:
-                        commit_time = prev_commit
-                    if index >= commit_width:
-                        drained = commit[(index - commit_width) & mask] + 1
-                        if drained > commit_time:
-                            commit_time = drained
-                    commit[slot] = commit_time
-                    prev_commit = commit_time
-                    if is_memory:
-                        if kind == meas_load:
-                            mem_commit[mem_count & mem_mask] = commit_time
-                        else:
-                            mem_commit[mem_count & mem_mask] = (
-                                commit_time if commit_time > ready_for_lsq
-                                else ready_for_lsq)
-                        mem_count += 1
-
-                    # ---- branch misprediction -------------------------------
-                    if kind == meas_mispredict:
-                        redirect = done + mispredict_penalty
-                        if redirect > fetch_blocked_until:
-                            fetch_blocked_until = redirect
-                        mispredictions += 1
-
-                    if count >= window:
-                        break
-
-            # steady state: same schedule with the always-true guards gone
-            for kind, pc, address, dep1, dep2, latency in rows:
-                index = count
-                count += 1
-
-                # ---- fetch --------------------------------------------------
-                if fetched_in_cycle >= fetch_width:
-                    fetch_cycle += 1
-                    fetched_in_cycle = 0
-                fetch_time = (fetch_cycle if fetch_cycle >= fetch_blocked_until
-                              else fetch_blocked_until)
-
-                occupancy = commit[(index - ruu) & mask]
-                if occupancy > fetch_time:
-                    fetch_time = occupancy
-                is_memory = meas_load <= kind <= meas_store_full
-                if is_memory and mem_count >= lsq:
-                    occupancy = mem_commit[(mem_count - lsq) & mem_mask]
-                    if occupancy > fetch_time:
-                        fetch_time = occupancy
-
-                line = pc >> iline_shift
-                if line != last_fetch_line:
-                    ready, _, itlb_cycles = hier_ifetch(pc, fetch_time)
-                    if ready > fetch_time + l1i_latency:
-                        if itlb_cycles:
-                            itlb_stall += itlb_cycles
-                        cache_delay = ready - fetch_time - itlb_cycles
-                        if cache_delay > l1i_latency:
-                            icache_stall += cache_delay
-                        fetch_time = ready
-                    last_fetch_line = line
-                if fetch_time > fetch_cycle:
-                    fetch_cycle = fetch_time
-                    fetched_in_cycle = 0
-                fetched_in_cycle += 1
-
-                # ---- issue / execute ----------------------------------------
-                ready = fetch_time + frontend_depth
-                if dep1 and dep1 <= window:
-                    produced = complete[(index - dep1) & mask]
-                    if produced > ready:
-                        ready = produced
-                if dep2 and dep2 <= window:
-                    produced = complete[(index - dep2) & mask]
-                    if produced > ready:
-                        ready = produced
-
-                if kind == meas_load:
-                    data_ready, check_done = hier_load(address, ready)
-                    done = data_ready if data_ready > ready + 1 else ready + 1
-                    if check_done > latest_check:
-                        latest_check = check_done
-                    loads += 1
-                elif is_memory:  # MEAS_STORE or MEAS_STORE_FULL
-                    store_done, check_done = hier_store(
-                        address, ready, full_block=kind == meas_store_full)
-                    done = ready + 1
-                    if check_done > latest_check:
-                        latest_check = check_done
-                    stores += 1
-                    ready_for_lsq = store_done if store_done > done else done
-                else:
-                    done = ready + latency
-                slot = index & mask
-                complete[slot] = done
-
-                # ---- commit -------------------------------------------------
-                commit_time = done
-                if prev_commit > commit_time:
-                    commit_time = prev_commit
-                drained = commit[(index - commit_width) & mask] + 1
-                if drained > commit_time:
-                    commit_time = drained
-                commit[slot] = commit_time
-                prev_commit = commit_time
-                if is_memory:
-                    if kind == meas_load:
-                        mem_commit[mem_count & mem_mask] = commit_time
-                    else:
-                        mem_commit[mem_count & mem_mask] = (
-                            commit_time if commit_time > ready_for_lsq
-                            else ready_for_lsq)
-                    mem_count += 1
-
-                # ---- branch misprediction -----------------------------------
-                if kind == meas_mispredict:
-                    redirect = done + mispredict_penalty
-                    if redirect > fetch_blocked_until:
-                        fetch_blocked_until = redirect
-                    mispredictions += 1
-
-        if loads:
-            self.stats.add("loads", loads)
-        if stores:
-            self.stats.add("stores", stores)
-        if mispredictions:
-            self.stats.add("mispredictions", mispredictions)
-        if itlb_stall:
-            self.stats.add("itlb_stall_cycles", itlb_stall)
-        if icache_stall:
-            self.stats.add("icache_stall_cycles", icache_stall)
-        end_cycle = prev_commit + 1 if count else start_cycle
-        cycles = end_cycle - start_cycle
-        self.stats.set("cycles", cycles)
-        self.stats.set("instructions", count)
-        return CoreResult(instructions=count, cycles=cycles,
-                          last_check_done=latest_check, end_cycle=end_cycle)
-
-    def run_vec(self, chunks, start_cycle: int = 0, ops=None) -> CoreResult:
-        """Schedule packed measured-mode chunks through the vectorized
-        kernel backend; the batched twin of :meth:`run_packed`.
+        analytic schedule is the one :meth:`run` computes, expressed over
+        parallel columns instead of :class:`Instruction` objects, so the
+        :class:`CoreResult` and every statistic are bit-identical to
+        running the equivalent object stream — only the wall-clock
+        differs.
 
         Each chunk is classified by a
         :class:`~repro.kernels.measure.MeasurePrepass`: timing-free rows
         (the overwhelming majority on cache-resident workloads) resolve
         to precomputed completion deltas — applied to the caches in
-        dependency-free batches — so the ring-buffer schedule below
-        touches only scalars for them.  Rows that reach the integrity
-        scheme keep their live hierarchy call, made *here* at the real
-        cycle with state in exact row order, so :class:`CoreResult` and
-        every statistic stay bit-identical to :meth:`run_packed` (and to
-        :meth:`run`).
+        dependency-free batches — so the schedule loop touches only
+        scalars for them.  Rows that reach the integrity scheme keep
+        their live hierarchy call, made *here* at the real cycle with
+        state in exact row order.
 
         The gate is adaptive, per chunk: a chunk whose timing-free
         fraction falls below the kernel's threshold sends the *next*
-        chunk through the plain packed row loop (first chunk included —
-        its prologue also fills the scheduling window the steady-state
-        vector loop assumes).  ``ops`` is a kernel backend module; by
-        default the best available backend is resolved, and the
-        ``packed`` oracle backend delegates to :meth:`run_packed`.
+        chunk through a plain row loop that calls the hierarchy once
+        per fetch line and once per load/store, exactly where :meth:`run`
+        does (cold and miss-heavy chunks are cheaper that way).
+
+        The unbounded ``complete``/``commit``/``mem_commit`` lists of
+        :meth:`run` become ring buffers sized by the machine's own
+        windows: an operand producer more than ``ruu_entries`` back has
+        necessarily committed before this instruction fetches (the
+        RUU-occupancy bound makes ``fetch_time >= commit[index - ruu]``,
+        commit times are monotone, and completion never exceeds commit),
+        so its completion time can never be the binding constraint and
+        the dependency lookup is skipped outside the window.
         """
-        if ops is None:
-            backend = resolve_kernels()
-            if backend == "packed":
-                return self.run_packed(chunks, start_cycle)
-            ops = load_ops(backend)
         cfg = self.config
         fetch_width = cfg.fetch_width
         commit_width = cfg.commit_width
@@ -512,6 +240,9 @@ class OutOfOrderCore:
         l1_tlb_latency = l1_latency + hierarchy.dtlb._miss_penalty
 
         window = max(ruu, commit_width + 1)
+        # round the rings up to powers of two so the hot loop can index with
+        # a mask instead of a modulo; slots are only read within `window`
+        # (resp. `lsq`) of being written, so the extra slack slots are inert
         ring = 1 << (window - 1).bit_length()
         mask = ring - 1
         mem_ring = 1 << (lsq - 1).bit_length()
@@ -550,8 +281,8 @@ class OutOfOrderCore:
             if not n_rows:
                 continue
             if fast_fraction >= min_fast:
-                # ---- vectorized chunk -----------------------------------
-                pre = prepass_class(ops, hierarchy, kinds, pcs, addresses,
+                # ---- batched chunk --------------------------------------
+                pre = prepass_class(hierarchy, kinds, pcs, addresses,
                                     last_fetch_line)
                 pre.run()
                 last_fetch_line = pre.carry
@@ -564,8 +295,12 @@ class OutOfOrderCore:
                 # TIMING rows reach back into the pc/address columns
                 rows = zip(kinds, dep1s, dep2s, latencies,
                            pre.if_info, pre.mem_info)
-                # prologue twin of run_packed's: full guards while the
-                # window fills, reading the precomputed info columns
+                # prologue: full guards while the window fills.  Once
+                # `count >= window` (>= ruu, commit_width and any
+                # dependency distance the steady loop honours), the guards
+                # `index >= ruu`, `dep <= index`, `index > 0` and
+                # `index >= commit_width` are always true, so the
+                # steady-state loop below drops them.
                 if count < window:
                     for kind, dep1, dep2, latency, f_info, m_info in rows:
                         index = count
@@ -809,10 +544,11 @@ class OutOfOrderCore:
                 fast_fraction = pre.fast_fraction
                 continue
 
-            # ---- packed row loop (cold/miss-heavy chunk) ----------------
-            # identical to run_packed, plus the slow-row count that gates
-            # the next chunk (a row is slow when either of its hierarchy
-            # calls resolved above the constant L1 latency)
+            # ---- row loop (cold/miss-heavy chunk) -----------------------
+            # the same schedule with live hierarchy calls, plus the
+            # slow-row count that gates the next chunk (a row is slow when
+            # either of its hierarchy calls resolved above the constant
+            # L1 latency)
             slow_rows = 0
             rows = zip(kinds, pcs, addresses, dep1s, dep2s, latencies)
             if count < window:

@@ -348,4 +348,10 @@ class MemoryVerifier:
         if address in window and (address + length - 1) in window:
             physical = self.layout.physical_bytes + (address - window.start)
             return physical, length
-        raise IndexError(f"address {address:#x} outside the verifier's space")
+        # a discipline violation like any other out-of-bounds span: the
+        # service maps SecureModeError to 403, not a dead handler thread
+        raise SecureModeError(
+            f"span [{address:#x}, {address + length:#x}) lies outside the "
+            f"protected segment [0, {self.layout.data_bytes:#x}) and the "
+            f"unprotected window [{window.start:#x}, {window.stop:#x})"
+        )

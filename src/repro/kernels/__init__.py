@@ -1,80 +1,22 @@
-"""Vectorized kernel backends for the packed hot loops.
+"""Batched column kernels for the simulator's one fast path.
 
-The packed paths (PRs 2 and 5) turned warm-up and measurement into
-column chunks, but still consume them row by row in interpreted Python.
-This package batches the per-chunk work — classifying rows into
-hit/miss columns, probing TLBs over whole address columns, and
-precomputing the measured path's per-row latencies — behind one of two
-interchangeable primitive sets:
+Warm-up and measurement consume instruction streams as packed column
+chunks.  This package batches the per-chunk work — classifying rows
+into hit/miss columns, probing TLBs over whole address columns, and
+precomputing the measured path's per-row latencies — as plain list
+comprehensions:
 
-* ``numpy``    — ndarray columns (optional ``[perf]`` extra);
-* ``fallback`` — pure-Python ``array``/list batching, always available.
+* :mod:`repro.kernels.warm` plans the chunks
+  :meth:`MemoryHierarchy.warm_vec <repro.cache.hierarchy.MemoryHierarchy.warm_vec>`
+  replays;
+* :mod:`repro.kernels.measure` is the prepass
+  :meth:`OutOfOrderCore.run_vec <repro.cpu.ooo.OutOfOrderCore.run_vec>`
+  schedules from.
 
-Both run the *same* kernel algorithm (:mod:`repro.kernels.warm` and
-:mod:`repro.kernels.measure`); only the column primitives differ, and
-every primitive is exact integer/boolean arithmetic, so the backends are
-bit-identical to each other and to the packed oracle by construction.
-``REPRO_KERNELS=packed`` keeps the PR-5 interpreted packed path as the
-oracle — the same escape hatch ``REPRO_MEASURE=object`` provides one
-level further down.  The oracle chain is therefore::
-
-    object  --REPRO_MEASURE=object-->  packed  --REPRO_KERNELS=packed-->  vectorized
-
-Backend choice deliberately never enters cell or warm fingerprints:
-results are identical by construction, and the equivalence is enforced
-by ``tests/test_kernels.py`` and the twin-symmetry pass of
-``python -m repro check``.
+Every step is exact integer/boolean arithmetic, so the fast path is
+bit-identical to the per-:class:`~repro.cpu.isa.Instruction` object
+oracle (``warm``/``run``, selected for measurement by
+``REPRO_MEASURE=object``).  ``tests/test_measured_packed.py``,
+``tests/test_kernels.py`` (each per-chunk route pinned on its own) and
+the twin-symmetry pass of ``python -m repro check`` enforce the equivalence.
 """
-
-from __future__ import annotations
-
-import os
-from typing import Optional
-
-#: environment override for the kernel backend used by warm + measured runs.
-KERNELS_ENV = "REPRO_KERNELS"
-
-#: accepted spellings, in documentation order.
-KERNEL_BACKENDS = ("auto", "numpy", "fallback", "packed")
-
-
-def numpy_available() -> bool:
-    """Whether the numpy backend can be imported (no hard dependency)."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def resolve_kernels(name: Optional[str] = None) -> str:
-    """Resolve a backend request to a concrete backend name.
-
-    ``None`` defers to the ``REPRO_KERNELS`` environment variable, then
-    to ``auto``; ``auto`` picks ``numpy`` when importable, else
-    ``fallback``.  Unknown values raise — a silently ignored typo (the
-    old ``REPRO_MEASURE=obj`` failure mode) must not send a sweep down
-    an unintended path.
-    """
-    if name is None:
-        name = os.environ.get(KERNELS_ENV, "auto")
-    if name not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernels backend {name!r} (from the 'kernels' "
-            f"parameter or ${KERNELS_ENV}); valid values: "
-            f"{', '.join(KERNEL_BACKENDS)}"
-        )
-    if name == "auto":
-        return "numpy" if numpy_available() else "fallback"
-    return name
-
-
-def load_ops(backend: str):
-    """The primitive-ops module for a concrete (non-``auto``) backend."""
-    if backend == "numpy":
-        from . import ops_numpy
-        return ops_numpy
-    if backend == "fallback":
-        from . import ops_fallback
-        return ops_fallback
-    raise ValueError(f"no ops module for backend {backend!r}")

@@ -1,4 +1,4 @@
-"""Column prepass for the vectorized measured path.
+"""Column prepass for the batched measured path.
 
 :class:`MeasurePrepass` turns one packed measured chunk into per-row
 completion info the analytic schedule consumes as precomputed scalars.
@@ -16,7 +16,7 @@ The boundary it enforces is exact:
   of it; the schedule makes the real hierarchy call with the real cycle,
   then calls :meth:`MeasurePrepass.run` to resume.  State therefore
   evolves in exact row order, and every live call happens with the
-  hierarchy in exactly the state the packed path would have.
+  hierarchy in exactly the state the object path would have.
 
 The interpreter is a single forward walk over the chunk's *active* rows
 (fetch-line changes and loads/stores; other rows never touch the
@@ -45,10 +45,10 @@ from ..common.packed import MEAS_LOAD, MEAS_STORE, MEAS_STORE_FULL
 #: marks a row whose hierarchy call must happen live, at schedule time.
 TIMING = object()
 
-#: below this timing-free fraction the *next* chunk runs through the
-#: packed row loop — a miss row costs more through the walk (victim
-#: peek, L2 probes, residency bookkeeping on top of the hierarchy call)
-#: than through the packed body, so the prepass only pays for itself
+#: below this timing-free fraction the *next* chunk runs through
+#: ``run_vec``'s plain row loop — a miss row costs more through the walk
+#: (victim peek, L2 probes, residency bookkeeping on top of the hierarchy
+#: call) than through the row loop, so the prepass only pays for itself
 #: when resident rows dominate the chunk.
 MIN_FAST_FRACTION = 0.90
 
@@ -72,7 +72,7 @@ class MeasurePrepass:
         "_slow_events", "_ifp", "_memp", "_pending",
     )
 
-    def __init__(self, ops, hierarchy, kinds, pcs, addresses, carry):
+    def __init__(self, hierarchy, kinds, pcs, addresses, carry):
         self.hierarchy = hierarchy
         self.l1i = l1i = hierarchy.l1i
         self.l1d = l1d = hierarchy.l1d
@@ -85,25 +85,27 @@ class MeasurePrepass:
         n = len(kinds)
         self.n = n
         data_offset = hierarchy.scheme.data_address(0)
-        kind_col = ops.col_u8(kinds)
-        pc_col = ops.col_u64(pcs)
-        addr_col = ops.col_u64(addresses)
-        iline = ops.rshift(pc_col, hierarchy._iline_shift)
-        new_line = ops.ne_prev(iline, carry)
-        self.carry = ops.last(iline)
-        is_mem = ops.between(kind_col, MEAS_LOAD, MEAS_STORE_FULL)
-        i_blk = ops.block(ops.add(pc_col, data_offset), l1i._offset_bits)
-        d_blk = ops.block(ops.add(addr_col, data_offset), l1d._offset_bits)
-        self.i_blk_l = ops.tolist(i_blk)
-        self.i_page_l = ops.tolist(ops.rshift(pc_col, itlb._page_bits))
-        self.d_blk_l = ops.tolist(d_blk)
-        self.d_page_l = ops.tolist(ops.rshift(addr_col, dtlb._page_bits))
-        new_line_l = ops.tolist(new_line)
-        is_mem_l = ops.tolist(is_mem)
+        i_mask = ~((1 << l1i._offset_bits) - 1)
+        d_mask = ~((1 << l1d._offset_bits) - 1)
+        i_page_bits = itlb._page_bits
+        d_page_bits = dtlb._page_bits
+        self.i_blk_l = [(pc + data_offset) & i_mask for pc in pcs]
+        self.i_page_l = [pc >> i_page_bits for pc in pcs]
+        self.d_blk_l = [(address + data_offset) & d_mask
+                        for address in addresses]
+        self.d_page_l = [address >> d_page_bits for address in addresses]
+        iline_shift = hierarchy._iline_shift
+        ilines = [pc >> iline_shift for pc in pcs]
+        previous = [carry]
+        previous.extend(ilines)
+        new_line_l = [line != before
+                      for line, before in zip(ilines, previous)]
+        self.carry = ilines[-1]
+        is_mem_l = [MEAS_LOAD <= kind <= MEAS_STORE_FULL for kind in kinds]
         # the walk consumes the two event streams through monotone
         # cursors; the sentinel keeps the merge loop branch-free at EOF
-        self.if_rows = ops.true_indices(new_line)
-        self.mem_rows = ops.true_indices(is_mem)
+        self.if_rows = [row for row, flag in enumerate(new_line_l) if flag]
+        self.mem_rows = [row for row, flag in enumerate(is_mem_l) if flag]
         self.if_rows.append(n)
         self.mem_rows.append(n)
         self.live_l1i = l1i.resident_blocks()

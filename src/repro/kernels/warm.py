@@ -1,11 +1,11 @@
-"""Column planning for the vectorized warm-path kernel.
+"""Column planning for the batched warm-path kernel.
 
 Everything here is *pure column math* over one packed warm chunk —
 classification of rows into per-cache block/page columns and
 hit-candidate masks.  The state-mutating half of the kernel (batched LRU
 application, the slow-row interpreter) lives on
 :meth:`repro.cache.hierarchy.MemoryHierarchy.warm_vec`, where the
-twin-symmetry checker can pair its mutations against ``warm_packed``.
+twin-symmetry checker can pair its mutations against ``warm``.
 
 Correctness model (the sequential-dependence boundary):
 
@@ -14,7 +14,7 @@ Correctness model (the sequential-dependence boundary):
   promote LRU entries, never change membership, so a run of
   mask-``True`` rows can be applied as one batch.
 * Misses (mask ``False``) are interpreted row by row through the exact
-  ``warm_packed`` code paths; each may fill (stale-``False`` rows are
+  counter-free warm paths; each may fill (stale-``False`` rows are
   re-checked by the interpreter, so conservatism is safe) and may
   *evict*.  Evicted blocks/pages are the only stale-``True`` hazard;
   they go into a :class:`Poison` set consulted before batching, and the
@@ -26,7 +26,7 @@ from __future__ import annotations
 from ..common.packed import WARM_IFETCH, WARM_STORE
 
 #: below this hit-candidate fraction a chunk is interpreted row by row —
-#: the packed row body is only ~3 bound-method calls, so the batching
+#: the row body is only ~3 bound-method calls, so the batching
 #: machinery pays for itself only when long hit runs dominate outright.
 MIN_FAST_FRACTION = 0.995
 #: hit runs shorter than this are applied row by row; per-span batching
@@ -37,45 +37,60 @@ MIN_BATCH_ROWS = 32
 class WarmPlan:
     """Per-chunk columns shared by mask builds and batch application."""
 
-    __slots__ = ("n", "data_offset", "blk", "page", "is_if", "not_if",
-                 "is_wr", "blk_l", "page_l", "is_if_l",
-                 "codes_l", "values_l")
+    __slots__ = ("n", "data_offset", "codes", "values", "blk", "page",
+                 "is_if", "not_if", "is_wr")
 
 
-def build_plan(ops, codes, values, data_offset, page_bits,
+def build_plan(codes, values, data_offset, page_bits,
                i_offset_bits, d_offset_bits) -> WarmPlan:
     """Classify one ``(codes, values)`` chunk into per-cache columns."""
     plan = WarmPlan()
-    code_col = ops.col_u8(codes)
-    value_col = ops.col_u64(values)
-    phys = ops.add(value_col, data_offset)
-    is_if = ops.eq(code_col, WARM_IFETCH)
-    plan.is_if = is_if
-    plan.not_if = ops.invert(is_if)
-    plan.is_wr = ops.ge(code_col, WARM_STORE)
+    codes = list(codes)
+    values = list(values)
+    is_if = [code == WARM_IFETCH for code in codes]
+    d_mask = ~((1 << d_offset_bits) - 1)
     if i_offset_bits == d_offset_bits:
-        plan.blk = ops.block(phys, d_offset_bits)
+        plan.blk = [(value + data_offset) & d_mask for value in values]
     else:
-        plan.blk = ops.where(is_if, ops.block(phys, i_offset_bits),
-                             ops.block(phys, d_offset_bits))
-    plan.page = ops.rshift(value_col, page_bits)
-    plan.blk_l = ops.tolist(plan.blk)
-    plan.page_l = ops.tolist(plan.page)
-    plan.is_if_l = ops.tolist(is_if)
-    plan.codes_l = list(codes)
-    plan.values_l = list(values)
-    plan.n = len(plan.codes_l)
+        i_mask = ~((1 << i_offset_bits) - 1)
+        plan.blk = [(value + data_offset) & (i_mask if fetch else d_mask)
+                    for value, fetch in zip(values, is_if)]
+    plan.page = [value >> page_bits for value in values]
+    plan.is_if = is_if
+    plan.not_if = [not fetch for fetch in is_if]
+    plan.is_wr = [code >= WARM_STORE for code in codes]
+    plan.codes = codes
+    plan.values = values
+    plan.n = len(codes)
     plan.data_offset = data_offset
     return plan
 
 
-def fast_mask(ops, plan, live):
+def fast_mask(plan, live):
     """Hit-candidate mask: row block *and* page resident right now."""
-    hit_i = ops.and_(ops.isin(plan.blk, live.l1i),
-                     ops.isin(plan.page, live.itlb))
-    hit_d = ops.and_(ops.isin(plan.blk, live.l1d),
-                     ops.isin(plan.page, live.dtlb))
-    return ops.where(plan.is_if, hit_i, hit_d)
+    l1i, itlb, l1d, dtlb = live.l1i, live.itlb, live.l1d, live.dtlb
+    return [(block in l1i and page in itlb) if fetch
+            else (block in l1d and page in dtlb)
+            for block, page, fetch in zip(plan.blk, plan.page, plan.is_if)]
+
+
+def unique_recent(col, mask, start, end):
+    """Unique ``col[start:end]`` values where ``mask`` holds, most
+    recently seen first — the promotion order batched LRU application
+    needs."""
+    order: dict = {}
+    pop = order.pop
+    for value, flag in zip(col[start:end], mask[start:end]):
+        if flag:
+            pop(value, None)
+            order[value] = None
+    return list(reversed(order))
+
+
+def unique_vals(col, mask, start, end):
+    """Unique ``col[start:end]`` values where ``mask`` holds (order-free)."""
+    return {value for value, flag in zip(col[start:end], mask[start:end])
+            if flag}
 
 
 class Residency:

@@ -3,16 +3,15 @@
 ``grid`` keeps the original sequential :func:`run_grid` API; everything
 else is the cell-based engine: :class:`CellSpec` (declarative cells),
 :func:`cell_fingerprint` (content-addressed identity), the
-:mod:`~repro.sim.sweep.store` tier hierarchy (:class:`DiskCellCache` as
-the local L1, :class:`DirectoryStore`/:class:`HttpStore` as shareable
-L2s, :class:`TieredStore` combining them), the cost-aware work-stealing
+:mod:`~repro.sim.sweep.store` tier hierarchy (:class:`DirectoryStore` as
+the local L1 or a shareable L2, :class:`HttpStore` as a remote L2,
+:class:`TieredStore` combining them), the cost-aware work-stealing
 :mod:`~repro.sim.sweep.schedule`, :func:`run_cells` (deterministic
 parallel execution), and the :mod:`~repro.sim.sweep.dispatch` work-lease
 coordinator that spreads one sweep across machines
 (:func:`run_distributed` + :func:`run_worker`).
 """
 
-from .diskcache import DiskCellCache
 from .dispatch import (
     CoordinatorClient,
     CoordinatorError,
@@ -40,7 +39,7 @@ from .runner import (
     run_cells,
     warm_groups_of,
 )
-from .schedule import CostModel, WorkQueue, balance_groups, split_group
+from .schedule import CostModel, WorkQueue, split_group
 from .spec import (
     CELL_PARAMS,
     CellSpec,
@@ -75,7 +74,6 @@ __all__ = [
     "CostModel",
     "DEFAULT_CACHE_DIR",
     "DirectoryStore",
-    "DiskCellCache",
     "FIGURES",
     "Fetched",
     "HttpChannel",
@@ -87,7 +85,6 @@ __all__ = [
     "SweepReport",
     "TieredStore",
     "WorkQueue",
-    "balance_groups",
     "baseline_of",
     "build_store",
     "cell_fingerprint",

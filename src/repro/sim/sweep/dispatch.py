@@ -304,7 +304,7 @@ class LeaseBoard:
         """Retire a lease with its per-cell results metadata.
 
         Each report row carries ``fingerprint``, ``elapsed_s`` /
-        ``warm_s`` / ``measure_s`` / ``backend``, an optional ``error``,
+        ``warm_s`` / ``measure_s``, an optional ``error``,
         and ``stored`` — whether the worker's write-back to the shared
         store succeeded.  Rows that computed fine but did *not* land in
         the store are requeued (invisible work is no work); late reports
@@ -441,7 +441,6 @@ class LeaseBoard:
             "elapsed_s": float(row.get("elapsed_s") or 0.0),
             "warm_s": float(row.get("warm_s") or 0.0),
             "measure_s": float(row.get("measure_s") or 0.0),
-            "backend": row.get("backend"),
             "error": row.get("error"),
         }
         self._outcomes.append(outcome)
@@ -651,18 +650,16 @@ def _run_lease(client: CoordinatorClient, store: ResultStore, worker: str,
         with _Heartbeat(client, lease_id, worker, ttl_s):
             rows = execute_group(specs)
     for fingerprint, row in zip(fingerprints, rows):
-        spec, result, elapsed, warm_s, measure_s, backend, error = row
+        spec, result, elapsed, warm_s, measure_s, error = row
         stored = False
         if result is not None:
-            stored = store.put(fingerprint, spec, result, elapsed,
-                               backend=backend)
+            stored = store.put(fingerprint, spec, result, elapsed)
         reports.append({
             "fingerprint": fingerprint,
             "label": spec.label(),
             "elapsed_s": round(elapsed, 4),
             "warm_s": round(warm_s, 4),
             "measure_s": round(measure_s, 4),
-            "backend": backend,
             "error": error,
             "stored": stored,
         })
@@ -776,7 +773,6 @@ def run_distributed(
                         spec, result, row.get("elapsed_s", 0.0), "run",
                         warm_s=row.get("warm_s", 0.0),
                         measure_s=row.get("measure_s", 0.0),
-                        backend=row.get("backend"),
                         worker=row.get("worker"),
                     )
             del waiting[fingerprint]

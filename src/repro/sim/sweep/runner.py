@@ -9,7 +9,7 @@ cold run computed.
 
 Flow per sweep: normalize + dedupe the requested cells, satisfy what the
 result store already holds (a local
-:class:`~repro.sim.sweep.diskcache.DiskCellCache` or a tiered
+:class:`~repro.sim.sweep.store.DirectoryStore` or a tiered
 local+shared :class:`~repro.sim.sweep.store.TieredStore` — an L2 hit is
 hydrated into L1 and reported per tier), then dispatch the misses as
 warm groups through a cost-aware work-stealing queue
@@ -30,22 +30,12 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ...kernels import resolve_kernels
 from ..results import SimResult
-from ..system import (
-    packed_measure_default,
-    prepare_warm_state,
-    run_benchmark,
-    run_from_warm_state,
-)
+from ..system import prepare_warm_state, run_benchmark, run_from_warm_state
 from .fingerprint import cell_fingerprint, warm_fingerprint
-from .schedule import CostModel, WorkQueue, balance_groups
+from .schedule import CostModel, WorkQueue
 from .spec import CellSpec
 from .store import ResultStore
-
-#: kept under its historical name — the static reference balancer the
-#: work-stealing queue generalizes (tests pin both behaviors).
-_balance_groups = balance_groups
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -86,18 +76,6 @@ def warm_groups_of(pending: Sequence[CellSpec]) -> List[List[CellSpec]]:
     return [grouped[key] for key in sorted(grouped)]
 
 
-def resolved_backend(spec: CellSpec) -> str:
-    """The concrete backend label ``spec``'s measured suffix runs on.
-
-    Execution metadata only (recorded on :class:`CellOutcome` and in
-    store entries) — never part of cell identity, because every backend
-    is bit-identical.
-    """
-    if not packed_measure_default():
-        return "object"
-    return resolve_kernels(spec.kernels)
-
-
 def execute_cell(spec: CellSpec) -> SimResult:
     """Run one cell from scratch (module-level so workers can pickle it)."""
     return run_benchmark(
@@ -106,21 +84,19 @@ def execute_cell(spec: CellSpec) -> SimResult:
         instructions=spec.instructions,
         warmup=spec.warmup,
         seed=spec.seed,
-        kernels=spec.kernels,
     )
 
 
-def _timed_execute(spec: CellSpec) -> Tuple[SimResult, float, str]:
-    backend = resolved_backend(spec)
+def _timed_execute(spec: CellSpec) -> Tuple[SimResult, float]:
     start = time.perf_counter()
     result = execute_cell(spec)
-    return result, time.perf_counter() - start, backend
+    return result, time.perf_counter() - start
 
 
 #: One cell's result inside a group:
-#: (spec, result, elapsed, warm, measure, backend, error).
+#: (spec, result, elapsed, warm, measure, error).
 _GroupRow = Tuple[CellSpec, Optional[SimResult], float, float, float,
-                  Optional[str], Optional[str]]
+                  Optional[str]]
 
 
 def execute_group(specs: Sequence[CellSpec]) -> List[_GroupRow]:
@@ -140,32 +116,29 @@ def execute_group(specs: Sequence[CellSpec]) -> List[_GroupRow]:
             first.benchmark,
             warmup=first.warmup,
             seed=first.seed,
-            kernels=first.kernels,
         )
         warm_s = time.perf_counter() - start
     except Exception as error:  # noqa: BLE001 - group isolation
         message = f"{type(error).__name__}: {error}"
-        return [(spec, None, 0.0, 0.0, 0.0, None, message) for spec in specs]
+        return [(spec, None, 0.0, 0.0, 0.0, message) for spec in specs]
     rows: List[_GroupRow] = []
     for index, spec in enumerate(specs):
         cell_warm = warm_s if index == 0 else 0.0
         try:
-            backend = resolved_backend(spec)
             start = time.perf_counter()
             result = run_from_warm_state(
                 spec.build_config(),
                 spec.benchmark,
                 warm_state,
                 instructions=spec.instructions,
-                kernels=spec.kernels,
             )
             measure_s = time.perf_counter() - start
         except Exception as error:  # noqa: BLE001 - cell isolation
-            rows.append((spec, None, 0.0, 0.0, 0.0, None,
+            rows.append((spec, None, 0.0, 0.0, 0.0,
                          f"{type(error).__name__}: {error}"))
         else:
             rows.append((spec, result, cell_warm + measure_s, cell_warm,
-                         measure_s, backend, None))
+                         measure_s, None))
     return rows
 
 
@@ -184,10 +157,6 @@ class CellOutcome:
     warm_s: float = 0.0
     #: Seconds spent simulating the measured suffix.
     measure_s: float = 0.0
-    #: Concrete kernel backend the measured suffix ran on (``numpy``/
-    #: ``fallback``/``packed``/``object``; ``None`` for cached or failed
-    #: cells).  Metadata only — backends are bit-identical.
-    backend: Optional[str] = None
     #: Store tier that satisfied a ``cached`` cell (``"local"`` for the
     #: L1 directory, ``"shared"`` for an L2 hit hydrated into L1);
     #: ``None`` for run/failed cells.
@@ -275,9 +244,6 @@ class SweepReport:
                 f"({cell_time / len(ran):.2f}s/cell avg, "
                 f"{max(o.elapsed_s for o in ran):.2f}s max)"
             )
-            backends = sorted({o.backend for o in ran if o.backend})
-            if backends:
-                lines.append(f"  kernels backend: {', '.join(backends)}")
             warm_time = sum(o.warm_s for o in ran)
             measure_time = sum(o.measure_s for o in ran)
             if warm_time or measure_time:
@@ -332,7 +298,7 @@ def run_cells(
     """Run a sweep; see module docstring for the exact flow.
 
     ``cache`` is any :class:`~repro.sim.sweep.store.ResultStore` — the
-    plain local :class:`DiskCellCache`, a shared
+    plain local :class:`~repro.sim.sweep.store.DirectoryStore`, a shared
     :class:`~repro.sim.sweep.store.DirectoryStore`/``HttpStore``, or a
     :class:`~repro.sim.sweep.store.TieredStore` combining both.
     ``cache=None`` disables persistence entirely; ``fresh=True`` keeps
@@ -374,23 +340,20 @@ def run_cells(
 
     def record(spec: CellSpec, result: Optional[SimResult], elapsed: float,
                error: Optional[str] = None, warm_s: float = 0.0,
-               measure_s: float = 0.0,
-               backend: Optional[str] = None) -> None:
+               measure_s: float = 0.0) -> None:
         source = "failed" if result is None else "run"
         outcome = CellOutcome(spec, result, elapsed, source, error,
-                              warm_s=warm_s, measure_s=measure_s,
-                              backend=backend)
+                              warm_s=warm_s, measure_s=measure_s)
         outcomes[spec] = outcome
         if result is not None and cache is not None:
-            cache.put(fingerprints[spec], spec, result, elapsed,
-                      backend=backend)
+            cache.put(fingerprints[spec], spec, result, elapsed)
         if progress is not None:
             progress(outcome)
 
     def record_rows(rows: Sequence[_GroupRow]) -> None:
-        for spec, result, elapsed, warm_s, measure_s, backend, error in rows:
+        for spec, result, elapsed, warm_s, measure_s, error in rows:
             record(spec, result, elapsed, error,
-                   warm_s=warm_s, measure_s=measure_s, backend=backend)
+                   warm_s=warm_s, measure_s=measure_s)
 
     cost_model = CostModel.from_store(cache) if pending else CostModel()
     warm_groups = 0
@@ -404,11 +367,11 @@ def run_cells(
         if jobs <= 1 or len(ordered) <= 1:
             for spec in ordered:
                 try:
-                    result, elapsed, backend = _timed_execute(spec)
+                    result, elapsed = _timed_execute(spec)
                 except Exception as error:  # noqa: BLE001 - cell isolation
                     record(spec, None, 0.0, f"{type(error).__name__}: {error}")
                 else:
-                    record(spec, result, elapsed, backend=backend)
+                    record(spec, result, elapsed)
         else:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = {pool.submit(_timed_execute, spec): spec
@@ -420,12 +383,12 @@ def run_cells(
                     for future in sorted(done, key=lambda f: str(futures[f])):
                         spec = futures[future]
                         try:
-                            result, elapsed, backend = future.result()
+                            result, elapsed = future.result()
                         except Exception as error:  # noqa: BLE001
                             record(spec, None, 0.0,
                                    f"{type(error).__name__}: {error}")
                         else:
-                            record(spec, result, elapsed, backend=backend)
+                            record(spec, result, elapsed)
     elif pending:
         queue = WorkQueue(warm_groups_of(pending), cost_model)
         if jobs <= 1:

@@ -93,30 +93,6 @@ def split_group(group: Sequence[CellSpec]) -> Tuple[List[CellSpec],
     return list(group[:half]), list(group[half:])
 
 
-def balance_groups(groups: List[List[CellSpec]],
-                   jobs: int) -> List[List[CellSpec]]:
-    """The historical *static* partition: split the largest groups until
-    every worker can get one.
-
-    Kept as the reference balancer (and for callers that want a fixed
-    partition up front); the runner now uses :class:`WorkQueue`, which
-    reproduces this exact behavior on its first fill and keeps
-    rebalancing afterwards.
-    """
-    total = sum(len(group) for group in groups)
-    target = min(jobs, total)
-    groups = [list(group) for group in groups]
-    while len(groups) < target:
-        largest = max(range(len(groups)), key=lambda i: len(groups[i]))
-        group = groups[largest]
-        if len(group) < 2:
-            break
-        first, second = split_group(group)
-        groups[largest] = first
-        groups.append(second)
-    return groups
-
-
 class WorkQueue:
     """Coordinator-side queue of warm groups; workers pull, queue splits.
 

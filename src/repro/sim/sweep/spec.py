@@ -70,12 +70,6 @@ class CellSpec:
     instructions: int = 12_000
     warmup: Optional[int] = None
     seed: int = 0
-    #: Kernel backend request (``auto``/``numpy``/``fallback``/``packed``;
-    #: ``None`` defers to ``REPRO_KERNELS``).  Excluded from equality,
-    #: hashing, :meth:`key` and both fingerprints: backends are
-    #: bit-identical, so the backend is execution metadata, never cell
-    #: identity.
-    kernels: Optional[str] = dataclasses.field(default=None, compare=False)
 
     def normalized(self) -> "CellSpec":
         """Collapse explicit default values to ``None`` (one identity per
@@ -155,9 +149,8 @@ class CellSpec:
 def spec_to_dict(spec: CellSpec) -> Dict[str, object]:
     """Serialize a cell to plain JSON-able data (the dispatch wire format).
 
-    Everything that defines the cell goes over the wire — including
-    ``kernels``, so a driver's explicit backend request reaches remote
-    workers — and :func:`spec_from_dict` round-trips it exactly.
+    Everything that defines the cell goes over the wire, and
+    :func:`spec_from_dict` round-trips it exactly.
     """
     data: Dict[str, object] = {
         "benchmark": spec.benchmark,
@@ -165,7 +158,6 @@ def spec_to_dict(spec: CellSpec) -> Dict[str, object]:
         "instructions": spec.instructions,
         "warmup": spec.warmup,
         "seed": spec.seed,
-        "kernels": spec.kernels,
     }
     for param in CELL_PARAMS:
         data[param] = getattr(spec, param)
@@ -208,7 +200,6 @@ def spec_from_dict(data: Dict[str, object]) -> CellSpec:
         instructions=int(data.get("instructions", 12_000)),
         warmup=data.get("warmup"),
         seed=int(data.get("seed", 0)),
-        kernels=data.get("kernels"),
         **overrides,
     )
     if not isinstance(spec.benchmark, str) or not spec.benchmark:

@@ -3,9 +3,8 @@
 Every finished cell is one JSON *entry* keyed by its SHA-256
 :func:`~repro.sim.sweep.fingerprint.cell_fingerprint` — the fingerprint
 covers everything that determines the result, so an entry computed on
-any host is valid on every other host by construction.  This module
-generalizes the original single-directory ``DiskCellCache`` into a
-small store hierarchy:
+any host is valid on every other host by construction.  Entries live
+in a small store hierarchy:
 
 * :class:`DirectoryStore` — entries as ``<fingerprint>.json`` files
   under one root (a local ``.repro_cache/`` or any shared filesystem
@@ -123,14 +122,18 @@ def result_from_dict(data: dict) -> SimResult:
 
 
 def entry_for(fingerprint: str, spec: CellSpec, result: SimResult,
-              elapsed_s: float, backend: Optional[str] = None) -> dict:
-    """The canonical store entry for one finished cell."""
+              elapsed_s: float) -> dict:
+    """The canonical store entry for one finished cell.
+
+    Readers ignore keys they do not know, so entries written with extra
+    provenance metadata (older trees recorded a ``backend`` key) stay
+    readable.
+    """
     return {
         "schema": CACHE_SCHEMA_VERSION,
         "fingerprint": fingerprint,
         "cell": spec.label(),
         "elapsed_s": round(elapsed_s, 4),
-        "backend": backend,
         "result": result_to_dict(result),
     }
 
@@ -267,18 +270,16 @@ class ResultStore:
         return None if fetched is None else fetched.result
 
     def put(self, fingerprint: str, spec: CellSpec, result: SimResult,
-            elapsed_s: float, backend: Optional[str] = None) -> bool:
+            elapsed_s: float) -> bool:
         """Store ``result``; failures are logged, not raised.
 
-        ``backend`` records which kernel backend produced the entry —
-        pure provenance metadata: it never enters the fingerprint, and
-        reads ignore it, because backends are bit-identical.  Returns
-        whether the entry was durably written (distributed workers use
-        this to tell the coordinator when a result did *not* land).
+        Returns whether the entry was durably written (distributed
+        workers use this to tell the coordinator when a result did *not*
+        land).
         """
         return self.submit_entry(fingerprint,
                                  entry_for(fingerprint, spec, result,
-                                           elapsed_s, backend))
+                                           elapsed_s))
 
     def submit_entry(self, fingerprint: str, entry: dict) -> bool:
         """Write a fresh entry + record its cost; failures are logged.
@@ -757,8 +758,8 @@ class TieredStore(ResultStore):
         return None if fetched is None else fetched.result
 
     def put(self, fingerprint: str, spec: CellSpec, result: SimResult,
-            elapsed_s: float, backend: Optional[str] = None) -> bool:
-        entry = entry_for(fingerprint, spec, result, elapsed_s, backend)
+            elapsed_s: float) -> bool:
+        entry = entry_for(fingerprint, spec, result, elapsed_s)
         self.local.submit_entry(fingerprint, entry)
         # the *shared* write is the one that makes a distributed result
         # visible to the coordinator — its success is what callers need

@@ -16,7 +16,6 @@ from ..cache.hierarchy import DEFAULT_PROTECTED_BYTES, MemoryHierarchy
 from ..common.config import SystemConfig
 from ..cpu.isa import Instruction
 from ..cpu.ooo import CoreResult, OutOfOrderCore
-from ..kernels import load_ops, resolve_kernels
 from ..workloads.generators import InstructionStream, WorkloadProfile
 from ..workloads.spec import SPEC_PROFILES
 from .results import SimResult
@@ -24,10 +23,11 @@ from .results import SimResult
 #: Environment switch for the measured path: ``REPRO_MEASURE=object``
 #: routes :meth:`SimulatedSystem.run_stream` (and therefore
 #: :func:`run_benchmark`, :func:`run_from_warm_state` and every sweep
-#: cell) through the historical per-:class:`Instruction` oracle path
-#: instead of the packed columns.  Results are bit-identical either way
-#: (``tests/test_measured_packed.py`` proves it); the flag exists so the
-#: oracle stays one environment variable away.
+#: cell) through the per-:class:`Instruction` oracle path instead of the
+#: packed columns of the fast path.  Results are bit-identical either
+#: way (``tests/test_measured_packed.py`` and ``tests/test_kernels.py``
+#: prove it); the flag exists so
+#: the oracle stays one environment variable away.
 MEASURE_PATH_ENV = "REPRO_MEASURE"
 
 
@@ -63,51 +63,34 @@ class SimulatedSystem:
         return self._result(benchmark, result)
 
     def run_stream(self, stream: InstructionStream, count: int,
-                   benchmark: str = "custom", start_cycle: int = 0,
-                   packed: Optional[bool] = None,
-                   kernels: Optional[str] = None) -> SimResult:
+                   benchmark: str = "custom",
+                   start_cycle: int = 0) -> SimResult:
         """Measure the next ``count`` instructions of ``stream``.
 
-        The default routes through the packed measured path
-        (:meth:`InstructionStream.take_packed` columns scheduled by a
-        kernel backend — see :meth:`run_chunks`) — no
-        :class:`Instruction` object is ever allocated, and the
-        :class:`SimResult` is bit-identical to the object path.
-        ``packed=False`` (or ``REPRO_MEASURE=object`` in the environment)
-        selects the historical object path as an oracle; ``kernels``
-        picks the column backend for the packed route (see
-        :func:`repro.kernels.resolve_kernels`).
+        The default routes through the fast path
+        (:meth:`InstructionStream.take_packed` columns — see
+        :meth:`run_chunks`): no :class:`Instruction` object is ever
+        allocated, and the :class:`SimResult` is bit-identical to the
+        object path.  ``REPRO_MEASURE=object`` in the environment selects
+        the object path as an oracle.
         """
-        if packed is None:
-            packed = packed_measure_default()
-        if packed:
+        if packed_measure_default():
             return self.run_chunks(stream.take_packed(count),
                                    benchmark=benchmark,
-                                   start_cycle=start_cycle, kernels=kernels)
+                                   start_cycle=start_cycle)
         result = self.core.run(stream.take(count), start_cycle=start_cycle)
         return self._result(benchmark, result)
 
     def run_chunks(self, chunks, benchmark: str = "custom",
-                   start_cycle: int = 0,
-                   kernels: Optional[str] = None) -> SimResult:
-        """Measure pre-packed column ``chunks`` through a kernel backend.
+                   start_cycle: int = 0) -> SimResult:
+        """Measure pre-packed column ``chunks`` through the fast path.
 
         ``chunks`` is an iterable (or cached list — see
         :meth:`WarmState.measured_chunks`) of column tuples from
-        :meth:`InstructionStream.take_packed`.  ``kernels`` resolves via
-        :func:`repro.kernels.resolve_kernels`: ``packed`` replays the
-        interpreted packed oracle (:meth:`OutOfOrderCore.run_packed
-        <repro.cpu.ooo.OutOfOrderCore.run_packed>`); ``numpy`` and
-        ``fallback`` schedule through the vectorized twin
-        (:meth:`OutOfOrderCore.run_vec <repro.cpu.ooo.OutOfOrderCore.run_vec>`).
-        All backends are bit-identical.
+        :meth:`InstructionStream.take_packed`, scheduled by
+        :meth:`OutOfOrderCore.run_vec <repro.cpu.ooo.OutOfOrderCore.run_vec>`.
         """
-        backend = resolve_kernels(kernels)
-        if backend == "packed":
-            result = self.core.run_packed(chunks, start_cycle=start_cycle)
-        else:
-            result = self.core.run_vec(chunks, start_cycle=start_cycle,
-                                       ops=load_ops(backend))
+        result = self.core.run_vec(chunks, start_cycle=start_cycle)
         return self._result(benchmark, result)
 
     def _result(self, benchmark: str, result: CoreResult) -> SimResult:
@@ -138,7 +121,6 @@ def run_benchmark(
     seed: int = 0,
     profile: Optional[WorkloadProfile] = None,
     protected_bytes: int = DEFAULT_PROTECTED_BYTES,
-    kernels: Optional[str] = None,
 ) -> SimResult:
     """Run one (config, benchmark) pair with cache warm-up.
 
@@ -148,20 +130,19 @@ def run_benchmark(
     1.5-billion-instruction fast-forward.  Counters reset at the boundary,
     so only the measured suffix defines IPC and traffic.
 
-    The prefix replays through the packed fast path
+    The prefix replays through the fast path
     (:meth:`InstructionStream.packed` feeding
-    :meth:`MemoryHierarchy.warm_packed`): no ``Instruction`` objects are
-    allocated, and the end state is bit-identical to the historical
-    object-stream warm-up.  The measured suffix then runs through the
-    packed measured path (see :meth:`SimulatedSystem.run_stream`) unless
+    :meth:`MemoryHierarchy.warm_vec`): no ``Instruction`` objects are
+    allocated, and the end state is bit-identical to the object-stream
+    warm-up.  The measured suffix then runs through the fast path too
+    (see :meth:`SimulatedSystem.run_stream`) unless
     ``REPRO_MEASURE=object`` requests the per-object oracle.
 
     ``warmup`` defaults to :func:`default_warmup`.
     """
     system, stream = _warmed_system(config, benchmark, warmup, seed, profile,
-                                    protected_bytes, kernels=kernels)
-    return system.run_stream(stream, instructions, benchmark=benchmark,
-                             kernels=kernels)
+                                    protected_bytes)
+    return system.run_stream(stream, instructions, benchmark=benchmark)
 
 
 def _warmed_system(
@@ -171,7 +152,6 @@ def _warmed_system(
     seed: int,
     profile: Optional[WorkloadProfile],
     protected_bytes: int,
-    kernels: Optional[str] = None,
 ) -> Tuple[SimulatedSystem, InstructionStream]:
     """Build a system, pre-sweep + warm it, and park the instruction stream
     at the measurement boundary."""
@@ -184,12 +164,8 @@ def _warmed_system(
         _presweep_stream(system, profile)
     stream = InstructionStream(profile, seed)
     if warmup:
-        backend = resolve_kernels(kernels)
-        chunks = stream.packed(warmup, line_bytes=config.l1i.block_bytes)
-        if backend == "packed":
-            system.hierarchy.warm_packed(chunks)
-        else:
-            system.hierarchy.warm_vec(chunks, load_ops(backend))
+        system.hierarchy.warm_vec(
+            stream.packed(warmup, line_bytes=config.l1i.block_bytes))
         _reset_counters(system)
     return system, stream
 
@@ -246,7 +222,6 @@ def prepare_warm_state(
     seed: int = 0,
     profile: Optional[WorkloadProfile] = None,
     protected_bytes: int = DEFAULT_PROTECTED_BYTES,
-    kernels: Optional[str] = None,
 ) -> WarmState:
     """Run the warm-up once and capture a reusable :class:`WarmState`."""
     if profile is None:
@@ -254,7 +229,7 @@ def prepare_warm_state(
     if warmup is None:
         warmup = default_warmup(config)
     system, stream = _warmed_system(config, benchmark, warmup, seed, profile,
-                                    protected_bytes, kernels=kernels)
+                                    protected_bytes)
     return WarmState(
         profile=profile,
         warmup=warmup,
@@ -270,7 +245,6 @@ def run_from_warm_state(
     benchmark: str,
     warm_state: WarmState,
     instructions: int = 20_000,
-    kernels: Optional[str] = None,
 ) -> SimResult:
     """Measure one cell from a shared :class:`WarmState`.
 
@@ -280,24 +254,19 @@ def run_from_warm_state(
     boundary and runs the measured suffix — bit-identical to
     :func:`run_benchmark` warming this cell from scratch.
 
-    Vectorized kernel backends (``numpy``/``fallback``, the default)
-    replay the suffix from :meth:`WarmState.measured_chunks`, so trace
-    generation is shared across every cell and repeat on this state.  The
-    ``packed`` oracle backend — and ``REPRO_MEASURE=object`` — regenerate
-    the stream each run, preserving the pre-kernel reference pipeline.
+    The fast path replays the suffix from
+    :meth:`WarmState.measured_chunks`, so trace generation is shared
+    across every cell and repeat on this state.  The
+    ``REPRO_MEASURE=object`` oracle regenerates the stream each run.
     """
     system = SimulatedSystem(config, warm_state.protected_bytes)
     system.hierarchy.restore(warm_state.snapshot)
     if packed_measure_default():
-        backend = resolve_kernels(kernels)
-        if backend != "packed":
-            return system.run_chunks(
-                warm_state.measured_chunks(instructions),
-                benchmark=benchmark, kernels=backend)
+        return system.run_chunks(warm_state.measured_chunks(instructions),
+                                 benchmark=benchmark)
     stream = InstructionStream.from_state(warm_state.profile,
                                           warm_state.stream_state)
-    return system.run_stream(stream, instructions, benchmark=benchmark,
-                             kernels=kernels)
+    return system.run_stream(stream, instructions, benchmark=benchmark)
 
 
 def _presweep_stream(system: SimulatedSystem, profile: WorkloadProfile) -> None:

@@ -201,8 +201,8 @@ class InstructionStream:
     * :meth:`take` materializes the next ``count`` instructions as
       :class:`Instruction` objects (the measured suffix of a run);
     * :meth:`packed` emits the next ``count`` instructions as packed
-      *memory-event* chunks for :meth:`MemoryHierarchy.warm_packed
-      <repro.cache.hierarchy.MemoryHierarchy.warm_packed>` — no
+      *memory-event* chunks for :meth:`MemoryHierarchy.warm_vec
+      <repro.cache.hierarchy.MemoryHierarchy.warm_vec>` — no
       ``Instruction`` is ever allocated, and the dependency-distance
       values (which functional warm-up ignores) are drawn from the RNG in
       the exact same order but never computed;
@@ -344,8 +344,8 @@ class InstructionStream:
 
         Yields ``(kinds, pcs, addresses, dep1s, dep2s, latencies)`` column
         tuples — one row per *instruction* (see :mod:`repro.common.packed`
-        for the canonical format) — for :meth:`OutOfOrderCore.run_packed
-        <repro.cpu.ooo.OutOfOrderCore.run_packed>`.  Unlike warm-mode
+        for the canonical format) — for :meth:`OutOfOrderCore.run_vec
+        <repro.cpu.ooo.OutOfOrderCore.run_vec>`.  Unlike warm-mode
         :meth:`packed`, nothing is deduplicated or dropped: the timed
         schedule consumes every row, including its dependency distances
         and execution latency, so the columns carry exactly the fields of

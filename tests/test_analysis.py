@@ -139,12 +139,12 @@ class TestPerfTrajectory:
         row = append_trajectory_row(
             path, {"chash/gzip": {"instructions": 400, "warmup": 300,
                                   "seconds": 0.5}},
-            backend="fallback", host="aaaa", git_sha="sha1")
-        assert row["backend"] == "fallback"
+            backend="batched", host="aaaa", git_sha="sha1")
+        assert row["backend"] == "batched"
         rows = load_trajectory(path)
         assert len(rows) == 1
         assert rows[0]["cells"]["chash/gzip"]["seconds"] == 0.5
-        append_trajectory_row(path, {}, backend="numpy", host="bbbb")
+        append_trajectory_row(path, {}, backend="serve-http", host="bbbb")
         assert len(load_trajectory(path)) == 2
 
     def test_unreadable_trajectory_is_empty(self, tmp_path):
@@ -162,15 +162,15 @@ class TestPerfTrajectory:
             "cells": {"chash/gzip": {"instructions": instructions,
                                      "warmup": 300, "seconds": seconds}}}
         rows = [
-            mk("me", "numpy", 2.0),
-            mk("me", "numpy", 1.0),           # the best matching row
-            mk("me", "numpy", 0.1, 800),      # wrong geometry: ignored
-            mk("me", "fallback", 0.2),        # wrong backend: ignored
-            mk("other", "numpy", 0.3),        # wrong host: ignored
+            mk("me", "batched", 2.0),
+            mk("me", "batched", 1.0),         # the best matching row
+            mk("me", "batched", 0.1, 800),    # wrong geometry: ignored
+            mk("me", "retired", 0.2),         # other pipeline: ignored
+            mk("other", "batched", 0.3),      # wrong host: ignored
         ]
-        best = trajectory_baseline(rows, "me", "numpy", cells)
+        best = trajectory_baseline(rows, "me", "batched", cells)
         assert best == {"chash/gzip": 1.0}
-        assert trajectory_baseline(rows, "nobody", "numpy", cells) == {}
+        assert trajectory_baseline(rows, "nobody", "batched", cells) == {}
 
     def test_ratchet_seeds_a_fresh_trajectory(self, tmp_path):
         from repro.analysis import load_trajectory, ratchet_bench
@@ -185,14 +185,14 @@ class TestPerfTrajectory:
         assert rows[0]["cells"]["chash/gzip"]["seconds"] > 0
 
     def test_ratchet_passes_against_a_slow_floor(self, tmp_path):
-        from repro.analysis import (append_trajectory_row, host_fingerprint,
-                                    load_trajectory, ratchet_bench)
-        from repro.kernels import resolve_kernels
+        from repro.analysis import (PIPELINE, append_trajectory_row,
+                                    host_fingerprint, load_trajectory,
+                                    ratchet_bench)
         path = str(tmp_path / "traj.json")
         append_trajectory_row(
             path, {"chash/gzip": {"instructions": 400, "warmup": 300,
                                   "seconds": 1000.0}},
-            backend=resolve_kernels(None), host=host_fingerprint())
+            backend=PIPELINE, host=host_fingerprint())
         lines, ok = ratchet_bench(path, cells=self.CELLS, repeats=1)
         assert ok
         assert "improved" in "\n".join(lines)
@@ -200,14 +200,13 @@ class TestPerfTrajectory:
         assert len(load_trajectory(path)) == 2
 
     def test_ratchet_fails_on_regression(self, tmp_path):
-        from repro.analysis import (append_trajectory_row, host_fingerprint,
-                                    ratchet_bench)
-        from repro.kernels import resolve_kernels
+        from repro.analysis import (PIPELINE, append_trajectory_row,
+                                    host_fingerprint, ratchet_bench)
         path = str(tmp_path / "traj.json")
         append_trajectory_row(
             path, {"chash/gzip": {"instructions": 400, "warmup": 300,
                                   "seconds": 1e-9}},
-            backend=resolve_kernels(None), host=host_fingerprint())
+            backend=PIPELINE, host=host_fingerprint())
         lines, ok = ratchet_bench(path, cells=self.CELLS, repeats=1)
         assert not ok
         text = "\n".join(lines)
@@ -223,13 +222,14 @@ class TestPerfTrajectory:
         assert load_trajectory(path) == []
 
     def test_other_hosts_rows_are_kept_not_compared(self, tmp_path):
-        from repro.analysis import append_trajectory_row, ratchet_bench
+        from repro.analysis import (PIPELINE, append_trajectory_row,
+                                    ratchet_bench)
         path = str(tmp_path / "traj.json")
         # a blazing row from a different machine class must not gate us
         append_trajectory_row(
             path, {"chash/gzip": {"instructions": 400, "warmup": 300,
                                   "seconds": 1e-9}},
-            backend="numpy", host="somewhere-else")
+            backend=PIPELINE, host="somewhere-else")
         lines, ok = ratchet_bench(path, cells=self.CELLS, repeats=1)
         assert ok
         assert "new baseline" in "\n".join(lines)

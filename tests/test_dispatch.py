@@ -64,7 +64,7 @@ def assert_same_result(a, b):
 def ok_row(spec, stored=True, error=None):
     return {"fingerprint": cell_fingerprint(spec), "label": spec.label(),
             "elapsed_s": 1.0, "warm_s": 0.6, "measure_s": 0.4,
-            "backend": "numpy", "error": error, "stored": stored}
+            "error": error, "stored": stored}
 
 
 @pytest.fixture()
@@ -97,8 +97,7 @@ class TestSpecWire:
         for spec in (tiny(), tiny("twolf", SchemeKind.MHASH,
                                   l2_size=256 * KB, seed=3),
                      tiny(hash_throughput=0.8, buffer_entries=4),
-                     tiny(write_allocate_valid_bits=False,
-                          kernels="fallback")):
+                     tiny(write_allocate_valid_bits=False)):
             rebuilt = spec_from_dict(spec_to_dict(spec))
             assert rebuilt == spec
             assert cell_fingerprint(rebuilt) == cell_fingerprint(spec)

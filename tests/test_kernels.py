@@ -1,18 +1,22 @@
-"""Bit-identity and plumbing of the ``repro.kernels`` backends.
+"""Bit-identity of the fast path's batched kernels, route by route.
 
-The vectorized kernel backends (``numpy`` and the pure-Python
-``fallback``) are only allowed to change *wall-clock*, never results:
-for every scheme, access pattern and L1-I geometry each backend must
-produce the same cycle count, instruction count, full statistics dict
-and hierarchy end state as the interpreted packed oracle
-(``REPRO_KERNELS=packed``), which is itself bit-identical to the
-per-``Instruction`` object oracle (``tests/test_measured_packed.py``).
-Alongside the equivalence grid live the edge cases the prepass must not
-mishandle (same-set dependent runs, chunk-boundary straddles, eviction
-storms, wide L1-I lines), the strict environment parsing for
-``REPRO_KERNELS``/``REPRO_MEASURE``, the warm-state trace cache, and
-the rule that backend choice is execution metadata — never cell
-identity.
+The fast path (``OutOfOrderCore.run_vec`` over packed measured columns,
+``MemoryHierarchy.warm_vec`` over packed warm columns) picks a route
+per chunk through an adaptive gate: the batched :mod:`repro.kernels`
+machinery (``MeasurePrepass`` for measurement, planned hit batches for
+warm-up) or a plain row-loop fallback.  At the default gates a real
+cell mostly takes one route — resident chunks the prepass, miss-heavy
+ones the row loop — so ``tests/test_measured_packed.py`` alone leaves
+each route untested on the patterns that avoid it.  Here the gates are
+pinned so that every chunk takes one route, and each route must equal
+the per-``Instruction`` object oracle (``REPRO_MEASURE=object``):
+cycles, instruction count, the full statistics dict and the hierarchy
+end state.
+
+Alongside live the edge cases the prepass must not mishandle (same-set
+dependent runs, eviction storms, chunk-boundary straddles, column
+non-mutation), the whole cell run through the oracle end to end, the
+warm-state trace cache and the strict parsing of ``REPRO_MEASURE``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import dataclasses
 
 import pytest
 
-import repro.kernels as kernels_pkg
 from repro.common.config import SchemeKind, SystemConfig, table1_config
 from repro.common.packed import (
     MEAS_ALU,
@@ -32,23 +35,18 @@ from repro.common.packed import (
     MEAS_STORE,
     MEAS_STORE_FULL,
 )
-from repro.kernels import (
-    KERNEL_BACKENDS,
-    KERNELS_ENV,
-    load_ops,
-    numpy_available,
-    resolve_kernels,
-)
+from repro.cpu.isa import Instruction
+from repro.kernels import measure as measure_kernel
+from repro.kernels import warm as warm_kernel
 from repro.sim.system import (
     MEASURE_PATH_ENV,
     SimulatedSystem,
+    _presweep_stream,
+    _reset_counters,
     packed_measure_default,
     prepare_warm_state,
     run_from_warm_state,
 )
-from repro.sim.sweep.fingerprint import cell_fingerprint, warm_fingerprint
-from repro.sim.sweep.runner import resolved_backend
-from repro.sim.sweep.spec import CellSpec
 from repro.workloads.generators import InstructionStream
 from repro.workloads.spec import SPEC_PROFILES
 
@@ -58,13 +56,22 @@ ALL_SCHEMES = (SchemeKind.BASE, SchemeKind.NAIVE, SchemeKind.CHASH,
 #: one profile per access pattern (wset, random, stream)
 IDENTITY_BENCHMARKS = ("gcc", "mcf", "swim")
 
-#: the vectorized backends available in this environment; ``fallback``
-#: is always importable, ``numpy`` only with the ``[perf]`` extra.
-VEC_BACKENDS = (("numpy", "fallback") if numpy_available()
-                else ("fallback",))
+#: the fast path's per-chunk routes: the batched kernels, or the plain
+#: row loop the adaptive gate falls back to on miss-heavy chunks
+ROUTES = ("prepass", "fallback")
 
-needs_numpy = pytest.mark.skipif(not numpy_available(),
-                                 reason="numpy not installed")
+#: object-stream kind of each measured-mode row code
+KIND_NAMES = {
+    MEAS_ALU: "alu", MEAS_FP: "fp", MEAS_LOAD: "load", MEAS_STORE: "store",
+    MEAS_STORE_FULL: "store", MEAS_BRANCH: "branch",
+    MEAS_BRANCH_MISPREDICT: "branch",
+}
+
+
+@pytest.fixture(autouse=True)
+def _clean_env(monkeypatch):
+    """An ambient ``REPRO_MEASURE`` must not leak into the grid."""
+    monkeypatch.delenv(MEASURE_PATH_ENV, raising=False)
 
 
 def with_l1i_block(config: SystemConfig, block_bytes: int) -> SystemConfig:
@@ -75,64 +82,62 @@ def with_l1i_block(config: SystemConfig, block_bytes: int) -> SystemConfig:
     )
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    """Ambient overrides must not leak into the equivalence grid."""
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
-    monkeypatch.delenv(MEASURE_PATH_ENV, raising=False)
+def pin_measure_route(monkeypatch, route: str) -> None:
+    """Send every measured chunk of ``run_vec`` down one ``route``."""
+    assert route in ROUTES
+    monkeypatch.setattr(measure_kernel, "MIN_FAST_FRACTION",
+                        0.0 if route == "prepass" else 2.0)
+
+
+def pin_warm_route(monkeypatch, route: str) -> None:
+    """Send every warm-up chunk of ``warm_vec`` down one ``route``: all
+    hit runs batched however short, or every row interpreted."""
+    assert route in ROUTES
+    if route == "prepass":
+        monkeypatch.setattr(warm_kernel, "MIN_FAST_FRACTION", 0.0)
+        monkeypatch.setattr(warm_kernel, "MIN_BATCH_ROWS", 1)
+    else:
+        monkeypatch.setattr(warm_kernel, "MIN_FAST_FRACTION", 2.0)
+
+
+def as_instructions(chunks):
+    """The object stream equivalent to measured-mode column ``chunks``."""
+    instructions = []
+    for chunk in chunks:
+        for kind, pc, address, dep1, dep2, latency in zip(*chunk):
+            instruction = Instruction(
+                kind=KIND_NAMES[kind], pc=pc, address=address, dep1=dep1,
+                dep2=dep2, full_block=kind == MEAS_STORE_FULL,
+                mispredicted=kind == MEAS_BRANCH_MISPREDICT)
+            if not instruction.is_memory:
+                assert instruction.latency == latency
+            instructions.append(instruction)
+    return instructions
+
+
+def object_warmed_system(config, bench, warmup):
+    """A system warmed exactly as ``prepare_warm_state`` warms one, but
+    through the object ``warm``; plus the stream parked at the boundary."""
+    profile = SPEC_PROFILES[bench]
+    system = SimulatedSystem(config)
+    if profile.pattern in ("stream", "mixed"):
+        _presweep_stream(system, profile)
+    stream = InstructionStream(profile, 0)
+    system.hierarchy.warm(stream.take(warmup))
+    _reset_counters(system)
+    return system, stream
 
 
 # ---------------------------------------------------------------------------
-# backend selection + strict environment parsing
+# strict environment parsing
 # ---------------------------------------------------------------------------
-
-
-class TestBackendResolution:
-    """``resolve_kernels`` picks the best backend and rejects typos."""
-
-    def test_registry_spellings(self):
-        assert KERNEL_BACKENDS == ("auto", "numpy", "fallback", "packed")
-
-    @needs_numpy
-    def test_auto_prefers_numpy(self):
-        assert resolve_kernels() == "numpy"
-        assert resolve_kernels("auto") == "numpy"
-
-    def test_auto_falls_back_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernels_pkg, "numpy_available", lambda: False)
-        assert resolve_kernels() == "fallback"
-        assert resolve_kernels("auto") == "fallback"
-
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "fallback")
-        assert resolve_kernels() == "fallback"
-        # an explicit request wins over the environment
-        assert resolve_kernels("packed") == "packed"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown kernels backend"):
-            resolve_kernels("vectorised")
-        monkeypatch.setenv(KERNELS_ENV, "npy")
-        with pytest.raises(ValueError, match="npy"):
-            resolve_kernels()
-
-    def test_load_ops_names(self):
-        assert load_ops("fallback").NAME == "fallback"
-        if numpy_available():
-            assert load_ops("numpy").NAME == "numpy"
-
-    def test_load_ops_rejects_non_backends(self):
-        with pytest.raises(ValueError):
-            load_ops("auto")
-        with pytest.raises(ValueError):
-            load_ops("packed")
 
 
 class TestStrictMeasureEnv:
     """``REPRO_MEASURE`` accepts exactly ``packed`` and ``object``."""
 
     def test_valid_values(self, monkeypatch):
-        assert packed_measure_default()  # unset -> packed
+        assert packed_measure_default()  # unset -> fast path
         monkeypatch.setenv(MEASURE_PATH_ENV, "packed")
         assert packed_measure_default()
         monkeypatch.setenv(MEASURE_PATH_ENV, "object")
@@ -145,108 +150,120 @@ class TestStrictMeasureEnv:
 
 
 # ---------------------------------------------------------------------------
-# property-based equivalence: object -> packed -> vectorized
+# each route against the object oracle
 # ---------------------------------------------------------------------------
 
 
-def kernel_results(config, bench, instructions=2_000, warmup=6_000):
-    """The packed oracle plus every vectorized backend, from one shared
-    warm state (exactly how the sweep runner consumes the backends)."""
+def route_results(monkeypatch, config, bench,
+                  instructions=2_000, warmup=6_000):
+    """The object oracle plus the fast path pinned to each route, all
+    measured from one shared warm state."""
     state = prepare_warm_state(config, bench, warmup=warmup)
+    monkeypatch.setenv(MEASURE_PATH_ENV, "object")
     oracle = run_from_warm_state(config, bench, state,
-                                 instructions=instructions,
-                                 kernels="packed")
-    results = {
-        backend: run_from_warm_state(config, bench, state,
-                                     instructions=instructions,
-                                     kernels=backend)
-        for backend in VEC_BACKENDS
-    }
+                                 instructions=instructions)
+    monkeypatch.delenv(MEASURE_PATH_ENV)
+    results = {}
+    for route in ROUTES:
+        with monkeypatch.context() as pinned:
+            pin_measure_route(pinned, route)
+            results[route] = run_from_warm_state(
+                config, bench, state, instructions=instructions)
     return oracle, results
 
 
 class TestBitIdentity:
-    """Each vectorized backend equals the packed oracle: cycles,
-    instruction count and the full stats dict, for every scheme ×
-    pattern × L1-I geometry."""
+    """Each measured route equals the object oracle: cycles, instruction
+    count and the full stats dict, for every scheme × pattern × L1-I
+    geometry."""
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @pytest.mark.parametrize("bench", IDENTITY_BENCHMARKS)
-    def test_default_geometry(self, scheme, bench):
-        oracle, results = kernel_results(table1_config(scheme), bench)
-        for backend, result in results.items():
-            assert result.cycles == oracle.cycles, backend
-            assert result.instructions == oracle.instructions, backend
-            assert result.stats == oracle.stats, backend
+    def test_default_geometry(self, monkeypatch, scheme, bench):
+        oracle, results = route_results(monkeypatch, table1_config(scheme),
+                                        bench)
+        for route, result in results.items():
+            assert result.cycles == oracle.cycles, route
+            assert result.instructions == oracle.instructions, route
+            assert result.stats == oracle.stats, route
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_wide_l1i_geometry(self, scheme):
+    def test_wide_l1i_geometry(self, monkeypatch, scheme):
         config = with_l1i_block(table1_config(scheme), 64)
-        oracle, results = kernel_results(config, "gcc")
-        for backend, result in results.items():
-            assert result.cycles == oracle.cycles, backend
-            assert result.stats == oracle.stats, backend
+        oracle, results = route_results(monkeypatch, config, "gcc")
+        for route, result in results.items():
+            assert result.cycles == oracle.cycles, route
+            assert result.stats == oracle.stats, route
 
     @pytest.mark.parametrize("bench", IDENTITY_BENCHMARKS)
     def test_object_oracle_chain(self, monkeypatch, bench):
-        """The full chain in one place: the object oracle equals the
-        vectorized backends (packed sits in between, covered above)."""
+        """The whole cell in one place: warm-up *and* measurement through
+        the object path equal ``prepare_warm_state`` +
+        ``run_from_warm_state`` through the fast path, on either route."""
         config = table1_config(SchemeKind.CHASH)
+        system, stream = object_warmed_system(config, bench, 6_000)
+        oracle = system.run(stream.take(2_000))
         state = prepare_warm_state(config, bench, warmup=6_000)
-        monkeypatch.setenv(MEASURE_PATH_ENV, "object")
-        oracle = run_from_warm_state(config, bench, state,
-                                     instructions=2_000)
-        monkeypatch.setenv(MEASURE_PATH_ENV, "packed")
-        for backend in VEC_BACKENDS:
-            result = run_from_warm_state(config, bench, state,
-                                         instructions=2_000,
-                                         kernels=backend)
-            assert result.cycles == oracle.cycles, backend
-            assert result.instructions == oracle.instructions, backend
-            assert result.stats == oracle.stats, backend
+        for route in ROUTES:
+            with monkeypatch.context() as pinned:
+                pin_measure_route(pinned, route)
+                result = run_from_warm_state(config, bench, state,
+                                             instructions=2_000)
+            assert result.cycles == oracle.cycles, route
+            assert result.instructions == oracle.instructions, route
+            assert result.stats == oracle.stats, route
 
 
 class TestWarmBackends:
-    """``warm_vec`` produces the same warmed hierarchy as ``warm_packed``
-    — snapshot-identical, so warm fingerprints can ignore the backend."""
+    """Both warm-up routes of ``warm_vec`` leave ``prepare_warm_state``
+    with the snapshot and parked stream the object ``warm`` produces —
+    so a warm fingerprint never depends on the route a chunk took."""
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_warm_state_identical_across_backends(self, scheme):
+    def test_warm_state_identical_across_backends(self, monkeypatch,
+                                                   scheme):
         config = table1_config(scheme)
-        reference = prepare_warm_state(config, "gcc", warmup=6_000,
-                                       kernels="packed")
-        for backend in VEC_BACKENDS:
-            state = prepare_warm_state(config, "gcc", warmup=6_000,
-                                       kernels=backend)
-            assert state.snapshot == reference.snapshot, backend
-            assert state.stream_state == reference.stream_state, backend
+        system, stream = object_warmed_system(config, "gcc", 6_000)
+        suffix = stream.take(500)
+        for route in ROUTES:
+            with monkeypatch.context() as pinned:
+                pin_warm_route(pinned, route)
+                state = prepare_warm_state(config, "gcc", warmup=6_000)
+            assert state.snapshot == system.hierarchy.snapshot(), route
+            # the parked stream resumes where the object stream goes on
+            parked = InstructionStream.from_state(state.profile,
+                                                  state.stream_state)
+            assert parked.take(500) == suffix, route
 
 
 # ---------------------------------------------------------------------------
-# edge cases the prepass must not mishandle
+# edge cases the batched prepass must not mishandle
 # ---------------------------------------------------------------------------
 
 
 def copy_chunks(chunks):
-    """A deep copy, so each backend consumes pristine columns."""
+    """A deep copy, so each run consumes pristine columns."""
     return [tuple(list(column) for column in chunk) for chunk in chunks]
 
 
-def run_cold(config, chunks, kernels):
-    """Run ``chunks`` on a cold system; results plus the end state."""
+def run_cold(config, chunks, fast):
+    """Run ``chunks`` on a cold system through the fast path (``fast``)
+    or the object oracle; the result plus the hierarchy end state."""
     system = SimulatedSystem(config)
-    result = system.run_chunks(copy_chunks(chunks), kernels=kernels)
+    if fast:
+        result = system.run_chunks(copy_chunks(chunks))
+    else:
+        result = system.run(as_instructions(chunks))
     return result, system.hierarchy.snapshot()
 
 
-def assert_backends_match_oracle(config, chunks):
-    oracle, end_state = run_cold(config, chunks, "packed")
-    for backend in VEC_BACKENDS:
-        result, state = run_cold(config, chunks, backend)
-        assert result.cycles == oracle.cycles, backend
-        assert result.instructions == oracle.instructions, backend
-        assert result.stats == oracle.stats, backend
-        assert state == end_state, backend
+def assert_fast_matches_oracle(config, chunks):
+    oracle, end_state = run_cold(config, chunks, fast=False)
+    result, state = run_cold(config, chunks, fast=True)
+    assert result.cycles == oracle.cycles
+    assert result.instructions == oracle.instructions
+    assert result.stats == oracle.stats
+    assert state == end_state
 
 
 class TestPrepassEdgeCases:
@@ -271,7 +288,7 @@ class TestPrepassEdgeCases:
             dep2s.append(0)
             latencies.append(1)
         chunks = [(kinds, pcs, addresses, dep1s, dep2s, latencies)]
-        assert_backends_match_oracle(config, chunks)
+        assert_fast_matches_oracle(config, chunks)
 
     def test_eviction_storm(self):
         """A block-stride sweep over 4x the L1D with full-block stores
@@ -290,12 +307,12 @@ class TestPrepassEdgeCases:
             dep2s.append(0)
             latencies.append(1)
         chunks = [(kinds, pcs, addresses, dep1s, dep2s, latencies)]
-        assert_backends_match_oracle(config, chunks)
+        assert_fast_matches_oracle(config, chunks)
 
     def test_compute_and_mispredict_mix(self):
         """ALU/FP/branch rows (including mispredicts) interleaved with
         loads: the non-memory latencies and the redirect penalty must
-        survive the vectorized precomputation."""
+        survive the batched precomputation."""
         config = table1_config(SchemeKind.BASE)
         pattern = (
             (MEAS_ALU, 1), (MEAS_FP, 4), (MEAS_LOAD, 1),
@@ -315,13 +332,14 @@ class TestPrepassEdgeCases:
             dep2s.append(5 if i >= 5 and i % 7 == 0 else 0)
             latencies.append(latency)
         chunks = [(kinds, pcs, addresses, dep1s, dep2s, latencies)]
-        assert_backends_match_oracle(config, chunks)
+        assert_fast_matches_oracle(config, chunks)
 
-    @pytest.mark.parametrize("backend", VEC_BACKENDS)
-    def test_chunk_boundary_straddles(self, backend):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_chunk_boundary_straddles(self, monkeypatch, route):
         """Re-chunking the same stream (odd 97-row chunks vs one big
-        chunk) cannot change results: line runs and page runs straddling
-        chunk boundaries must carry over exactly."""
+        chunk) cannot change results on either route: line runs and page
+        runs straddling chunk boundaries must carry over exactly."""
+        pin_measure_route(monkeypatch, route)
         config = table1_config(SchemeKind.CHASH)
         profile = SPEC_PROFILES["gcc"]
         n = 2_000
@@ -329,25 +347,26 @@ class TestPrepassEdgeCases:
             n, chunk_instructions=n))
         straddled = list(InstructionStream(profile, 0).take_packed(
             n, chunk_instructions=97))
-        oracle, end_state = run_cold(config, whole, "packed")
+        oracle, end_state = run_cold(config, whole, fast=False)
         for chunks in (whole, straddled):
-            result, state = run_cold(config, chunks, backend)
+            result, state = run_cold(config, chunks, fast=True)
             assert result.cycles == oracle.cycles
             assert result.stats == oracle.stats
             assert state == end_state
 
-    @pytest.mark.parametrize("backend", VEC_BACKENDS)
-    def test_columns_are_not_mutated(self, backend):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_columns_are_not_mutated(self, monkeypatch, route):
         """The warm-state trace cache hands the *same* column lists to
-        every cell and repeat — a backend that wrote into them would
+        every cell and repeat — a route that wrote into them would
         corrupt every later run."""
+        pin_measure_route(monkeypatch, route)
         config = table1_config(SchemeKind.CHASH)
         profile = SPEC_PROFILES["mcf"]
         chunks = list(InstructionStream(profile, 0).take_packed(
             1_500, chunk_instructions=512))
         pristine = copy_chunks(chunks)
         system = SimulatedSystem(config)
-        system.run_chunks(chunks, kernels=backend)
+        system.run_chunks(chunks)
         assert chunks == pristine
 
 
@@ -380,49 +399,3 @@ class TestTraceCache:
                                      instructions=1_500)
         assert second.cycles == first.cycles
         assert second.stats == first.stats
-
-    def test_packed_oracle_regenerates(self):
-        """The ``packed`` escape hatch preserves the reference pipeline:
-        it streams from the parked state and never populates the cache."""
-        config = table1_config(SchemeKind.BASE)
-        state = prepare_warm_state(config, "gcc", warmup=6_000)
-        run_from_warm_state(config, "gcc", state, instructions=1_000,
-                            kernels="packed")
-        assert not state._traces
-        run_from_warm_state(config, "gcc", state, instructions=1_000)
-        assert list(state._traces) == [1_000]
-
-
-# ---------------------------------------------------------------------------
-# backend choice is metadata, never identity
-# ---------------------------------------------------------------------------
-
-
-class TestBackendIsNotCellIdentity:
-    """Two specs differing only in ``kernels`` are the same cell."""
-
-    def test_equality_hash_and_key(self):
-        plain = CellSpec(benchmark="gzip", scheme=SchemeKind.CHASH)
-        pinned = CellSpec(benchmark="gzip", scheme=SchemeKind.CHASH,
-                          kernels="fallback")
-        assert plain == pinned
-        assert hash(plain) == hash(pinned)
-        assert plain.key() == pinned.key()
-
-    def test_fingerprints_ignore_backend(self):
-        plain = CellSpec(benchmark="gzip", scheme=SchemeKind.CHASH,
-                         instructions=1_000, warmup=2_000)
-        pinned = CellSpec(benchmark="gzip", scheme=SchemeKind.CHASH,
-                          instructions=1_000, warmup=2_000,
-                          kernels="packed")
-        assert cell_fingerprint(plain) == cell_fingerprint(pinned)
-        assert warm_fingerprint(plain) == warm_fingerprint(pinned)
-
-    def test_resolved_backend(self, monkeypatch):
-        spec = CellSpec(benchmark="gzip", scheme=SchemeKind.BASE,
-                        kernels="fallback")
-        assert resolved_backend(spec) == "fallback"
-        auto = CellSpec(benchmark="gzip", scheme=SchemeKind.BASE)
-        assert resolved_backend(auto) == resolve_kernels()
-        monkeypatch.setenv(MEASURE_PATH_ENV, "object")
-        assert resolved_backend(spec) == "object"

@@ -1,15 +1,23 @@
-"""Bit-identity of the packed measured path + fetch-geometry regressions.
+"""Bit-identity of the fast path against the object oracle.
 
-The packed measured path (``take_packed`` columns scheduled by
-``run_packed``) is only allowed to change *wall-clock*, never results:
-for every scheme, benchmark pattern and L1-I geometry the packed run
-must produce the same cycle count, instruction count and full statistics
-dict as the historical per-``Instruction`` oracle.  Alongside it live
-the regression tests for the two foreground bugfixes this machinery
-exposed: the core's fetch-line shift is derived from the configured
-L1-I block size (not hard-coded to 32-byte lines), and fetch stalls are
-attributed to the structure that caused them (I-TLB walk vs I-cache
-miss).
+The simulator has one fast path — packed columns replayed by
+``MemoryHierarchy.warm_vec`` and scheduled by ``OutOfOrderCore.run_vec``
+— and one oracle, the per-``Instruction`` object path (``warm``/``run``,
+selected for measurement by ``REPRO_MEASURE=object``).  The fast path is
+only allowed to change *wall-clock*, never results: for every scheme,
+access pattern and L1-I geometry it must produce the same cycle count,
+instruction count and full statistics dict as the oracle, and warm-up
+must leave the same hierarchy state.
+
+Alongside the equivalence grid live the column-fidelity checks of
+``take_packed``, warm sharing under a wide L1-I, and the regressions for
+two bugs this machinery exposed: the core's fetch-line shift is derived
+from the configured L1-I block size (not hard-coded to 32-byte lines),
+and fetch stalls are attributed to the structure that caused them (I-TLB
+walk vs I-cache miss).  The batched kernels behind the fast path — each
+of its per-chunk routes forced on its own, the prepass edge cases, the
+trace cache and the ``REPRO_MEASURE`` parsing — are held to the same
+oracle in ``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -32,10 +40,11 @@ from repro.common.packed import (
 )
 from repro.cpu.isa import Instruction
 from repro.cpu.ooo import OutOfOrderCore
+from repro.kernels import warm as warm_kernel
 from repro.sim.system import (
     MEASURE_PATH_ENV,
     SimulatedSystem,
-    packed_measure_default,
+    _reset_counters,
     prepare_warm_state,
     run_benchmark,
     run_from_warm_state,
@@ -48,6 +57,11 @@ ALL_SCHEMES = (SchemeKind.BASE, SchemeKind.NAIVE, SchemeKind.CHASH,
 
 #: one profile per access pattern (wset, random, stream)
 IDENTITY_BENCHMARKS = ("gcc", "mcf", "swim")
+
+@pytest.fixture(autouse=True)
+def _clean_env(monkeypatch):
+    """An ambient ``REPRO_MEASURE`` must not leak into the grid."""
+    monkeypatch.delenv(MEASURE_PATH_ENV, raising=False)
 
 
 def with_l1i_block(config: SystemConfig, block_bytes: int) -> SystemConfig:
@@ -105,8 +119,9 @@ class TestTakePacked:
 
 
 class TestBitIdentity:
-    """``run_packed`` equals the object oracle: cycles, instruction count
-    and the full stats dict, for every scheme × pattern × L1-I geometry."""
+    """The fast path equals the object oracle: cycles, instruction count
+    and the full stats dict, for every scheme × pattern × L1-I geometry,
+    measured from one shared warm state."""
 
     def _pair(self, monkeypatch, config, bench,
               instructions=2_000, warmup=6_000):
@@ -114,42 +129,55 @@ class TestBitIdentity:
         monkeypatch.setenv(MEASURE_PATH_ENV, "object")
         oracle = run_from_warm_state(config, bench, state,
                                      instructions=instructions)
-        monkeypatch.setenv(MEASURE_PATH_ENV, "packed")
-        packed = run_from_warm_state(config, bench, state,
-                                     instructions=instructions)
-        return oracle, packed
+        monkeypatch.delenv(MEASURE_PATH_ENV)
+        fast = run_from_warm_state(config, bench, state,
+                                   instructions=instructions)
+        return oracle, fast
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @pytest.mark.parametrize("bench", IDENTITY_BENCHMARKS)
     def test_default_geometry(self, monkeypatch, scheme, bench):
-        oracle, packed = self._pair(monkeypatch, table1_config(scheme), bench)
-        assert packed.cycles == oracle.cycles
-        assert packed.instructions == oracle.instructions
-        assert packed.stats == oracle.stats
+        oracle, fast = self._pair(monkeypatch, table1_config(scheme), bench)
+        assert fast.cycles == oracle.cycles
+        assert fast.instructions == oracle.instructions
+        assert fast.stats == oracle.stats
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @pytest.mark.parametrize("bench", IDENTITY_BENCHMARKS)
     def test_wide_l1i_geometry(self, monkeypatch, scheme, bench):
         config = with_l1i_block(table1_config(scheme), 64)
-        oracle, packed = self._pair(monkeypatch, config, bench)
-        assert packed.cycles == oracle.cycles
-        assert packed.instructions == oracle.instructions
-        assert packed.stats == oracle.stats
+        oracle, fast = self._pair(monkeypatch, config, bench)
+        assert fast.cycles == oracle.cycles
+        assert fast.instructions == oracle.instructions
+        assert fast.stats == oracle.stats
 
-    def test_explicit_packed_flag_overrides_environment(self, monkeypatch):
-        """``run_stream(packed=...)`` wins over ``REPRO_MEASURE``."""
-        monkeypatch.setenv(MEASURE_PATH_ENV, "object")
-        assert not packed_measure_default()
-        config = table1_config(SchemeKind.BASE)
-        profile = SPEC_PROFILES["gcc"]
-        oracle = SimulatedSystem(config)
-        packed = SimulatedSystem(config)
-        a = oracle.run_stream(InstructionStream(profile, 0), 3_000,
-                              packed=False)
-        b = packed.run_stream(InstructionStream(profile, 0), 3_000,
-                              packed=True)
-        assert b.cycles == a.cycles
-        assert b.stats == a.stats
+
+class TestWarmState:
+    """``warm_vec`` leaves the hierarchy exactly where the object-stream
+    ``warm`` does: the whole snapshot at the measurement boundary —
+    caches, TLBs, scheme state, bus/engine state and the (reset)
+    statistics.  Both gates are lowered so every chunk takes the batched
+    path — hit runs batched however short, poisoned spans screened row
+    by row, misses interpreted per row — which the default gates reach
+    only on long, almost miss-free chunks (``tests/test_warm_replay.py``
+    covers the row interpreter they pick otherwise)."""
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("bench", IDENTITY_BENCHMARKS)
+    def test_warm_vec_matches_object_warm(self, monkeypatch, scheme, bench):
+        monkeypatch.setattr(warm_kernel, "MIN_FAST_FRACTION", 0.0)
+        monkeypatch.setattr(warm_kernel, "MIN_BATCH_ROWS", 1)
+        config = table1_config(scheme)
+        profile = SPEC_PROFILES[bench]
+        by_object = SimulatedSystem(config)
+        by_object.hierarchy.warm(InstructionStream(profile, 0).take(20_000))
+        _reset_counters(by_object)
+        fast = SimulatedSystem(config)
+        fast.hierarchy.warm_vec(InstructionStream(profile, 0).packed(
+            20_000, line_bytes=config.l1i.block_bytes,
+            chunk_instructions=2_048))
+        _reset_counters(fast)
+        assert fast.hierarchy.snapshot() == by_object.hierarchy.snapshot()
 
 
 class TestWarmSharingWideL1I:
@@ -176,7 +204,7 @@ class TestFetchLineGeometry:
         config = with_l1i_block(table1_config(SchemeKind.BASE), block_bytes)
         profile = SPEC_PROFILES["gcc"]
         n = 4_000
-        # the dedup ``warm_packed`` applies: one WARM_IFETCH row per line
+        # the dedup ``warm_vec`` applies: one WARM_IFETCH row per line
         expected = 0
         for codes, _ in InstructionStream(profile, 0).packed(
                 n, line_bytes=block_bytes):
@@ -193,7 +221,7 @@ class TestFetchLineGeometry:
         by_object = SimulatedSystem(config)
         by_object.run(InstructionStream(profile, 0).take(n))
         by_packed = SimulatedSystem(config)
-        by_packed.run_stream(InstructionStream(profile, 0), n, packed=True)
+        by_packed.run_chunks(InstructionStream(profile, 0).take_packed(n))
         assert (by_packed.hierarchy.l1i.stats["data_accesses"]
                 == by_object.hierarchy.l1i.stats["data_accesses"])
 

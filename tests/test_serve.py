@@ -220,6 +220,32 @@ class TestServiceHttp:
         with pytest.raises(SecureModeError):
             client.write_unchecked("a", 0, b"sneak")
 
+    def test_out_of_window_unchecked_access_is_refused_once(
+            self, service, monkeypatch):
+        """An unchecked span past the unprotected window is a discipline
+        violation: 403 on the first and only delivery of the request,
+        and the client's next call goes through."""
+        forest, client = service
+        client.create_tenant(SMALL)
+        verifier = forest.get("a").verifier
+        calls = []
+        for name in ("read_without_checking", "write_without_checking"):
+            def counted(*args, _original=getattr(verifier, name),
+                        _name=name):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(verifier, name, counted)
+        window = verifier.unprotected_window
+        with pytest.raises(SecureModeError):
+            client.read_unchecked("a", window.stop, 8)
+        assert client.read_unchecked("a", window.start, 4) == b"\x00" * 4
+        with pytest.raises(SecureModeError):
+            client.write_unchecked("a", window.stop, b"overflow")
+        client.write_unchecked("a", window.start, b"dma!")
+        assert calls == ["read_without_checking", "read_without_checking",
+                         "write_without_checking", "write_without_checking"]
+        assert client.read_unchecked("a", window.start, 4) == b"dma!"
+
     def test_cross_tenant_tamper_detected_and_contained(self, service):
         """An adversary with tenant b's RAM cannot serve forged bytes —
         and tenant a keeps verifying."""

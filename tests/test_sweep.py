@@ -20,7 +20,6 @@ from repro.sim.sweep import (
     CellSpec,
     CostModel,
     DirectoryStore,
-    DiskCellCache,
     HttpStore,
     TieredStore,
     WorkQueue,
@@ -40,7 +39,6 @@ from repro.sim.sweep import (
     run_cells,
     warm_fingerprint,
 )
-from repro.sim.sweep.runner import _balance_groups
 from repro.sim.sweep.store import entry_for
 
 # small enough that a cell takes tens of milliseconds
@@ -226,7 +224,7 @@ class TestWarmFingerprint:
 
 class TestDiskCache:
     def test_roundtrip_returns_equal_result(self, tmp_path):
-        cache = DiskCellCache(tmp_path)
+        cache = DirectoryStore(tmp_path)
         spec = tiny()
         result = execute_cell(spec)
         fingerprint = cell_fingerprint(spec)
@@ -241,12 +239,12 @@ class TestDiskCache:
         assert_same_result(result_from_dict(result_to_dict(result)), result)
 
     def test_missing_entry_is_a_miss(self, tmp_path):
-        cache = DiskCellCache(tmp_path)
+        cache = DirectoryStore(tmp_path)
         assert cache.get("0" * 64) is None
         assert cache.misses == 1
 
     def test_corrupt_entry_is_a_logged_miss(self, tmp_path, caplog):
-        cache = DiskCellCache(tmp_path)
+        cache = DirectoryStore(tmp_path)
         fingerprint = cell_fingerprint(tiny())
         cache.path_for(fingerprint).parent.mkdir(exist_ok=True)
         cache.path_for(fingerprint).write_text("{not json at all")
@@ -255,7 +253,7 @@ class TestDiskCache:
         assert "unreadable cache entry" in caplog.text
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
-        cache = DiskCellCache(tmp_path)
+        cache = DirectoryStore(tmp_path)
         spec = tiny()
         fingerprint = cell_fingerprint(spec)
         cache.put(fingerprint, spec, execute_cell(spec), 0.0)
@@ -264,7 +262,7 @@ class TestDiskCache:
         assert cache.get(fingerprint) is None
 
     def test_schema_version_mismatch_is_a_miss(self, tmp_path):
-        cache = DiskCellCache(tmp_path)
+        cache = DirectoryStore(tmp_path)
         spec = tiny()
         fingerprint = cell_fingerprint(spec)
         cache.put(fingerprint, spec, execute_cell(spec), 0.0)
@@ -275,7 +273,7 @@ class TestDiskCache:
         assert cache.get(fingerprint) is None
 
     def test_embedded_fingerprint_mismatch_is_a_miss(self, tmp_path):
-        cache = DiskCellCache(tmp_path)
+        cache = DirectoryStore(tmp_path)
         spec = tiny()
         fingerprint = cell_fingerprint(spec)
         cache.put(fingerprint, spec, execute_cell(spec), 0.0)
@@ -296,7 +294,7 @@ class TestRunner:
     ]
 
     def test_cold_then_warm_sweep(self, tmp_path):
-        cache = DiskCellCache(tmp_path)
+        cache = DirectoryStore(tmp_path)
         cold = run_cells(self.CELLS, cache=cache)
         assert len(cold.ran) == 3 and not cold.cached and not cold.failed
         warm = run_cells(self.CELLS, cache=cache)
@@ -306,7 +304,7 @@ class TestRunner:
         assert "3 cached" in warm.summary()
 
     def test_fresh_bypasses_reads_but_overwrites(self, tmp_path):
-        cache = DiskCellCache(tmp_path)
+        cache = DirectoryStore(tmp_path)
         run_cells(self.CELLS, cache=cache)
         fresh = run_cells(self.CELLS, cache=cache, fresh=True)
         assert len(fresh.ran) == 3 and not fresh.cached
@@ -333,7 +331,7 @@ class TestRunner:
                                sequential.results[spec])
 
     def test_failed_cell_is_isolated(self, tmp_path):
-        cache = DiskCellCache(tmp_path)
+        cache = DirectoryStore(tmp_path)
         cells = [tiny(), tiny(benchmark="no-such-benchmark")]
         report = run_cells(cells, cache=cache)
         assert len(report.ran) == 1
@@ -398,9 +396,8 @@ class TestWarmSharing:
     def test_execute_group_rows_match_execute_cell(self):
         rows = execute_group(self.TIMING_CELLS)
         assert [spec for spec, *_ in rows] == self.TIMING_CELLS
-        for spec, result, _elapsed, _warm, _measure, backend, error in rows:
+        for spec, result, _elapsed, _warm, _measure, error in rows:
             assert error is None
-            assert backend is not None
             assert_same_result(result, execute_cell(spec))
 
     def test_group_warm_failure_fails_every_cell(self):
@@ -410,24 +407,11 @@ class TestWarmSharing:
         assert all(row[-1] for row in rows)
 
     def test_failed_cell_isolated_within_group(self, tmp_path):
-        cache = DiskCellCache(tmp_path)
+        cache = DirectoryStore(tmp_path)
         cells = [tiny(), tiny(benchmark="no-such-benchmark")]
         report = run_cells(cells, cache=cache)
         assert len(report.ran) == 1 and len(report.failed) == 1
         assert len(cache) == 1
-
-    def test_balance_splits_largest_groups_first(self):
-        groups = _balance_groups([self.TIMING_CELLS, [tiny(seed=9)]], jobs=4)
-        assert len(groups) == 4
-        flattened = [spec for group in groups for spec in group]
-        assert sorted(flattened, key=str) == sorted(
-            self.TIMING_CELLS + [tiny(seed=9)], key=str)
-        assert all(groups)  # no empty group
-
-    def test_balance_never_exceeds_cells_or_splits_singletons(self):
-        groups = _balance_groups([[tiny()], [tiny(seed=1)]], jobs=8)
-        assert len(groups) == 2
-        assert _balance_groups([], jobs=4) == []
 
 
 # --------------------------------------------------------------------------
@@ -588,7 +572,7 @@ class TestTieredStore:
     def test_bit_identity_across_tiers_and_jobs(self, tmp_path):
         cells = TestRunner.CELLS + TestWarmSharing.TIMING_CELLS
         baseline = run_cells(cells, jobs=1,
-                             cache=DiskCellCache(tmp_path / "plain"))
+                             cache=DirectoryStore(tmp_path / "plain"))
         stolen = run_cells(cells, jobs=4, cache=tiered(tmp_path))
         assert baseline.results.keys() == stolen.results.keys()
         for spec in baseline.results:
@@ -830,7 +814,7 @@ class TestSchedule:
         assert model.cell_cost(tiny()) == model.cell_cost(tiny("twolf"))
 
     def test_cost_model_from_store_after_a_sweep(self, tmp_path):
-        cache = DiskCellCache(tmp_path)
+        cache = DirectoryStore(tmp_path)
         run_cells(TestRunner.CELLS, cache=cache)
         model = CostModel.from_store(cache)
         assert "gzip/base" in model.history
@@ -881,7 +865,7 @@ class TestSchedule:
 
     def test_sweep_reports_steals(self, tmp_path):
         report = run_cells(TestWarmSharing.TIMING_CELLS, jobs=4,
-                           cache=DiskCellCache(tmp_path))
+                           cache=DirectoryStore(tmp_path))
         assert report.steals >= 1
         assert "work stealing" in report.summary()
 

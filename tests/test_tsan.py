@@ -191,7 +191,7 @@ class TestLeaseBoardUnderTsan:
         lease = leased["lease"]
         assert board.heartbeat(lease["id"], "w1")["ok"]
         rows = [{"fingerprint": cell["fingerprint"], "stored": True,
-                 "elapsed_s": 0.1, "label": "t", "backend": "py"}
+                 "elapsed_s": 0.1, "label": "t"}
                 for cell in lease["cells"]]
         retired = board.done(lease["id"], "w1", rows)
         assert retired["retired"] and retired["accepted"] == 1

@@ -211,7 +211,7 @@ class TestUnprotectedWindow:
     def test_window_read_out_of_bounds(self):
         _, verifier = fresh()
         window = verifier.unprotected_window
-        with pytest.raises((IndexError, SecureModeError)):
+        with pytest.raises(SecureModeError):
             verifier.read_without_checking(window.stop, 1)
 
 

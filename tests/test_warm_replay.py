@@ -121,7 +121,7 @@ class TestPackedWarm:
         by_object = MemoryHierarchy(config)
         by_packed = MemoryHierarchy(config)
         by_object.warm(InstructionStream(profile, 0).take(20_000))
-        by_packed.warm_packed(InstructionStream(profile, 0).packed(
+        by_packed.warm_vec(InstructionStream(profile, 0).packed(
             20_000, line_bytes=config.l1i.block_bytes))
         assert functional_state(by_object) == functional_state(by_packed)
 
@@ -132,7 +132,7 @@ class TestPackedWarm:
         by_object = MemoryHierarchy(config)
         by_packed = MemoryHierarchy(config)
         by_object.warm(InstructionStream(profile, 0).take(20_000))
-        by_packed.warm_packed(InstructionStream(profile, 0).packed(
+        by_packed.warm_vec(InstructionStream(profile, 0).packed(
             20_000, line_bytes=config.l1i.block_bytes))
         assert functional_state(by_object) == functional_state(by_packed)
 
@@ -146,7 +146,7 @@ class TestPackedWarm:
         by_object = MemoryHierarchy(config)
         by_packed = MemoryHierarchy(config)
         by_object.warm(InstructionStream(profile, 0).take(20_000))
-        by_packed.warm_packed(InstructionStream(profile, 0).packed(
+        by_packed.warm_vec(InstructionStream(profile, 0).packed(
             20_000, line_bytes=config.l1i.block_bytes))
         assert functional_state(by_object) == functional_state(by_packed)
 
