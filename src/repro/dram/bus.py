@@ -24,18 +24,38 @@ class MainMemoryTiming:
         self.bus = bus
         self.dram = dram
         self.stats = StatGroup("memory")
+        self._counters = self.stats.counters
         self._data_bus_free_at = 0
         #: cleared during functional cache warm-up: transfers become free
         #: and instantaneous so only cache state evolves.
         self.timing_enabled = True
+        self._latency = dram.first_chunk_latency_cycles
+        self._first_beat = bus.transfer_cycles(bus.width_bytes)
+        #: n_bytes -> bus cycles; a run moves only two or three sizes.
+        self._transfer: dict = {}
+        #: per-kind precomputed stat keys: (read bytes, write bytes)
+        self._kind_keys: dict = {}
+
+    def transfer_cycles(self, n_bytes: int) -> int:
+        """:meth:`BusConfig.transfer_cycles`, memoized per size."""
+        cycles = self.bus.transfer_cycles(n_bytes)
+        self._transfer[n_bytes] = cycles
+        return cycles
+
+    def _keys_for(self, kind: str) -> tuple:
+        keys = self._kind_keys[kind] = (f"read_bytes_{kind}",
+                                        f"write_bytes_{kind}")
+        return keys
 
     def _grant(self, ready: int, n_bytes: int) -> int:
         """Arbitrate the data bus for ``n_bytes`` once they are ready."""
-        start = max(ready, self._data_bus_free_at)
-        cycles = self.bus.transfer_cycles(n_bytes)
-        self._data_bus_free_at = start + cycles
-        self.stats.add("bus_busy_cycles", cycles)
-        return start + cycles
+        cycles = self._transfer.get(n_bytes) or self.transfer_cycles(n_bytes)
+        free = self._data_bus_free_at
+        done = (ready if ready > free else free) + cycles
+        self._data_bus_free_at = done
+        counters = self._counters
+        counters["bus_busy_cycles"] = counters.get("bus_busy_cycles", 0) + cycles
+        return done
 
     def read(self, now: int, n_bytes: int, kind: str = "data") -> int:
         """Issue a read at ``now``; returns the cycle the last byte arrives.
@@ -57,14 +77,14 @@ class MainMemoryTiming:
         """
         if not self.timing_enabled:
             return now, now
-        self.stats.add("reads")
-        self.stats.add(f"read_bytes_{kind}", n_bytes)
-        self.stats.add("bytes_total", n_bytes)
-        ready = now + self.dram.first_chunk_latency_cycles
-        full = self._grant(ready, n_bytes)
-        first_beat = self.bus.transfer_cycles(self.bus.width_bytes)
-        critical = full - self.bus.transfer_cycles(n_bytes) + first_beat
-        return critical, full
+        key = (self._kind_keys.get(kind) or self._keys_for(kind))[0]
+        counters = self._counters
+        get = counters.get
+        counters["reads"] = get("reads", 0) + 1
+        counters[key] = get(key, 0) + n_bytes
+        counters["bytes_total"] = get("bytes_total", 0) + n_bytes
+        full = self._grant(now + self._latency, n_bytes)
+        return full - self._transfer[n_bytes] + self._first_beat, full
 
     def write(self, now: int, n_bytes: int, kind: str = "data") -> int:
         """Issue a write at ``now``; returns when the bus transfer finishes.
@@ -74,9 +94,12 @@ class MainMemoryTiming:
         """
         if not self.timing_enabled:
             return now
-        self.stats.add("writes")
-        self.stats.add(f"write_bytes_{kind}", n_bytes)
-        self.stats.add("bytes_total", n_bytes)
+        key = (self._kind_keys.get(kind) or self._keys_for(kind))[1]
+        counters = self._counters
+        get = counters.get
+        counters["writes"] = get("writes", 0) + 1
+        counters[key] = get(key, 0) + n_bytes
+        counters["bytes_total"] = get("bytes_total", 0) + n_bytes
         return self._grant(now, n_bytes)
 
     # -- snapshot / restore -----------------------------------------------------------
@@ -84,11 +107,11 @@ class MainMemoryTiming:
     def snapshot(self) -> tuple:
         """Busy-until state plus counters (warm-up leaves both untouched,
         but a snapshot must also cover presweeps taken with timing on)."""
-        return (self._data_bus_free_at, dict(self.stats.counters))
+        return (self._data_bus_free_at, dict(self._counters))
 
     def restore(self, snap: tuple) -> None:
         self._data_bus_free_at, counters = snap
-        live = self.stats.counters
+        live = self._counters
         live.clear()
         live.update(counters)
 

@@ -33,9 +33,11 @@ class _BufferPool:
         The slot is provisionally reserved (so concurrent acquires pick
         other slots); :meth:`hold` installs the real release time.
         """
-        slot = min(range(len(self._free_at)), key=self._free_at.__getitem__)
-        start = max(now, self._free_at[slot])
-        self._free_at[slot] = start + 1
+        free_at = self._free_at
+        earliest = min(free_at)
+        slot = free_at.index(earliest)  # lowest index among equal times
+        start = now if now > earliest else earliest
+        free_at[slot] = start + 1
         return slot, start
 
     def hold(self, slot: int, until: int) -> None:
@@ -74,11 +76,21 @@ class HashEngineTiming:
     def __init__(self, config: HashEngineConfig):
         self.config = config
         self.stats = StatGroup("hash_engine")
+        self._counters = self.stats.counters
         self._pipe_free_at = 0
         self._read_buffers = _BufferPool(config.read_buffer_entries)
         self._write_buffers = _BufferPool(config.write_buffer_entries)
         #: cleared during functional cache warm-up: hashing is free.
         self.timing_enabled = True
+        self.latency_cycles = config.latency_cycles
+        #: n_bytes -> pipeline occupancy; a run hashes only a few sizes.
+        self._occupancy: dict = {}
+
+    def hash_occupancy_cycles(self, n_bytes: int) -> int:
+        """:meth:`HashEngineConfig.hash_occupancy_cycles`, memoized per size."""
+        occupancy = self.config.hash_occupancy_cycles(n_bytes)
+        self._occupancy[n_bytes] = occupancy
+        return occupancy
 
     # -- raw pipeline ------------------------------------------------------------
 
@@ -90,13 +102,17 @@ class HashEngineTiming:
         """
         if not self.timing_enabled:
             return ready
-        start = max(ready, self._pipe_free_at)
-        occupancy = self.config.hash_occupancy_cycles(n_bytes)
+        free = self._pipe_free_at
+        start = ready if ready > free else free
+        occupancy = (self._occupancy.get(n_bytes)
+                     or self.hash_occupancy_cycles(n_bytes))
         self._pipe_free_at = start + occupancy
-        self.stats.add("hash_ops")
-        self.stats.add("hashed_bytes", n_bytes)
-        self.stats.add("pipe_busy_cycles", occupancy)
-        return start + self.config.latency_cycles + occupancy
+        counters = self._counters
+        get = counters.get
+        counters["hash_ops"] = get("hash_ops", 0) + 1
+        counters["hashed_bytes"] = get("hashed_bytes", 0) + n_bytes
+        counters["pipe_busy_cycles"] = get("pipe_busy_cycles", 0) + occupancy
+        return start + self.latency_cycles + occupancy
 
     # -- snapshot / restore -----------------------------------------------------------
 
@@ -106,14 +122,14 @@ class HashEngineTiming:
             self._pipe_free_at,
             self._read_buffers.snapshot(),
             self._write_buffers.snapshot(),
-            dict(self.stats.counters),
+            dict(self._counters),
         )
 
     def restore(self, snap: tuple) -> None:
         self._pipe_free_at, read_free, write_free, counters = snap
         self._read_buffers.restore(read_free)
         self._write_buffers.restore(write_free)
-        live = self.stats.counters
+        live = self._counters
         live.clear()
         live.update(counters)
 
@@ -129,8 +145,11 @@ class HashEngineTiming:
             return 0, now
         slot, start = self._read_buffers.acquire(now)
         if start > now:
-            self.stats.add("read_buffer_stall_cycles", start - now)
-            self.stats.add("read_buffer_stalls")
+            counters = self._counters
+            get = counters.get
+            counters["read_buffer_stall_cycles"] = (
+                get("read_buffer_stall_cycles", 0) + start - now)
+            counters["read_buffer_stalls"] = get("read_buffer_stalls", 0) + 1
         return slot, start
 
     def finish_check(self, slot: int, done: int) -> None:
@@ -138,7 +157,8 @@ class HashEngineTiming:
         if not self.timing_enabled:
             return
         self._read_buffers.hold(slot, done)
-        self.stats.add("checks_completed")
+        counters = self._counters
+        counters["checks_completed"] = counters.get("checks_completed", 0) + 1
 
     def begin_writeback(self, now: int) -> tuple[int, int]:
         """Claim a write-buffer slot for an evicted block awaiting its hash."""
@@ -146,12 +166,16 @@ class HashEngineTiming:
             return 0, now
         slot, start = self._write_buffers.acquire(now)
         if start > now:
-            self.stats.add("write_buffer_stall_cycles", start - now)
-            self.stats.add("write_buffer_stalls")
+            counters = self._counters
+            get = counters.get
+            counters["write_buffer_stall_cycles"] = (
+                get("write_buffer_stall_cycles", 0) + start - now)
+            counters["write_buffer_stalls"] = get("write_buffer_stalls", 0) + 1
         return slot, start
 
     def finish_writeback(self, slot: int, done: int) -> None:
         if not self.timing_enabled:
             return
         self._write_buffers.hold(slot, done)
-        self.stats.add("writebacks_completed")
+        counters = self._counters
+        counters["writebacks_completed"] = counters.get("writebacks_completed", 0) + 1

@@ -58,18 +58,25 @@ class TimingScheme:
         engine: HashEngineTiming,
         layout: Optional[TreeLayout],
     ):
-        self.config = config
         self.l2 = l2
         self.memory = memory
         self.engine = engine
-        self.layout = layout
         self.stats = StatGroup(f"scheme_{self.name}")
+        self._counters = self.stats.counters
         self.block_bytes = config.l2.block_bytes
+        self._l2_latency = config.l2.latency_cycles
         #: constant offset applied by :meth:`data_address` — precomputed so
         #: the per-reference hot path is one integer add.
-        self._data_offset = (
-            0 if layout is None else layout.first_leaf * layout.chunk_bytes
-        )
+        self._data_offset = 0
+        if layout is not None:
+            # the walk indexes the tree in closed form (hashtree/layout.py):
+            # chunk c's parent is c // arity - 1 (negative: on chip) and
+            # its entry is at parent * chunk_bytes + (c % arity) * hash_bytes
+            self.arity = layout.arity
+            self.chunk_bytes = layout.chunk_bytes
+            self.hash_bytes = layout.hash_bytes
+            self.total_chunks = layout.total_chunks
+            self._data_offset = layout.first_leaf * layout.chunk_bytes
 
     # -- interface used by the memory hierarchy -----------------------------------
 
@@ -90,15 +97,22 @@ class TimingScheme:
     def snapshot_state(self) -> tuple:
         """Scheme-owned mutable state (all five schemes keep only counters;
         a future stateful scheme overrides both hooks together)."""
-        return (dict(self.stats.counters),)
+        return (dict(self._counters),)
 
     def restore_state(self, snap: tuple) -> None:
         (counters,) = snap
-        live = self.stats.counters
+        live = self._counters
         live.clear()
         live.update(counters)
 
     # -- shared helpers ---------------------------------------------------------------
+
+    def _chunk_at(self, address: int) -> int:
+        """Chunk index holding physical ``address``; checked once per walk."""
+        chunk = address // self.chunk_bytes
+        if not 0 <= chunk < self.total_chunks:
+            raise IndexError(f"chunk {chunk} outside [0, {self.total_chunks})")
+        return chunk
 
     def fill_l2(self, address: int, now: int, dirty: bool, kind: str,
                 depth: int = 0) -> None:
@@ -111,7 +125,9 @@ class TimingScheme:
         result = self.l2.fill(address, dirty=dirty, kind=kind)
         if result.victim_address is not None and result.victim_dirty:
             if depth >= MAX_CASCADE_DEPTH:
-                self.stats.add("cascade_depth_overflows")
+                counters = self._counters
+                counters["cascade_depth_overflows"] = (
+                    counters.get("cascade_depth_overflows", 0) + 1)
                 # account the bus write at least, so bandwidth stays honest
                 self.memory.write(now, self.block_bytes, kind="writeback")
                 return

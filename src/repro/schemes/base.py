@@ -11,12 +11,14 @@ class BaseScheme(TimingScheme):
     name = "base"
 
     def handle_data_miss(self, address: int, now: int, write: bool) -> MissOutcome:
-        self.stats.add("data_misses")
+        counters = self._counters
+        counters["data_misses"] = counters.get("data_misses", 0) + 1
         data_ready, _ = self.memory.read_critical(now, self.block_bytes,
                                                   kind="data")
         self.fill_l2(address, now, dirty=write, kind="data")
         return MissOutcome(data_ready=data_ready, check_done=data_ready)
 
     def handle_writeback(self, victim_address: int, now: int, depth: int = 0) -> None:
-        self.stats.add("writebacks")
+        counters = self._counters
+        counters["writebacks"] = counters.get("writebacks", 0) + 1
         self.memory.write(now, self.block_bytes, kind="writeback")

@@ -18,87 +18,95 @@ class CHashScheme(TimingScheme):
     name = "chash"
 
     def handle_data_miss(self, address: int, now: int, write: bool) -> MissOutcome:
-        self.stats.add("data_misses")
-        data_ready, check_done = self._fetch_checked(address, now, kind="data",
-                                                     depth=0)
+        counters = self._counters
+        counters["data_misses"] = counters.get("data_misses", 0) + 1
+        data_ready, check_done = self._fetch_checked(
+            self._chunk_at(address), now, "data", 0)
         self.fill_l2(address, now, dirty=write, kind="data")
         return MissOutcome(data_ready=data_ready, check_done=check_done)
 
     # -- verification walk -------------------------------------------------------
 
-    def _fetch_checked(self, address: int, now: int, kind: str,
+    def _fetch_checked(self, chunk: int, now: int, kind: str,
                        depth: int) -> tuple[int, int]:
-        """Fetch one chunk from memory and arrange its background check.
+        """Fetch ``chunk`` from memory and check it against its parent entry.
 
-        A read-buffer slot is held from the fetch until *this* chunk's own
-        hash comparison completes (hardware gives each buffered block its
-        own slot; ancestors fetched along the walk claim their own).
-        Returns ``(data_ready, chain_done)``.
+        The parent entry is read through the L2.  While it misses, the
+        parent chunk is fetched (as ``hash`` traffic) and checked in turn;
+        the climb stops at an L2 hit or at secure memory.  A read-buffer
+        slot is held from each chunk's fetch until *its own* hash
+        comparison completes (hardware gives each buffered block its own
+        slot).  The unwind runs top-down and, at each level, allocates the
+        fetched parent in the L2 before the child it vouches for releases
+        its slot: a write-back cascading out of that fill must see the
+        child's slot still held.  Returns ``(data_ready, chain_done)``.
         """
-        slot, start = self.engine.begin_check(now)
-        data_ready, full_ready = self.memory.read_critical(
-            start, self.layout.chunk_bytes, kind=kind)
-        hashed = self.engine.hash_op(full_ready, self.layout.chunk_bytes)
-        expected_ready, chain_done = self._expected_hash(address, start, depth)
-        own_check = max(hashed, expected_ready)
-        self.engine.finish_check(slot, own_check)
-        return data_ready, max(own_check, chain_done)
-
-    def _expected_hash(self, address: int, now: int,
-                       depth: int) -> tuple[int, int]:
-        """Locate the parent hash for the chunk at ``address``.
-
-        Returns ``(value_ready, chain_done)``: when the hash value can be
-        compared against, and when the (possibly recursive) verification
-        of everything fetched along the way completes.
-        """
-        layout = self.layout
-        chunk = layout.chunk_at_address(address)
-        location = layout.hash_location(chunk)
-        if location.in_secure_memory:
-            return now, now
-        lookup = self.l2.access(location.address, write=False, kind="hash")
-        if lookup.hit:
-            self.stats.add("hash_l2_hits")
-            ready = now + self.config.l2.latency_cycles
-            return ready, ready
-        self.stats.add("hash_l2_misses")
-        if depth >= MAX_CASCADE_DEPTH:  # pragma: no cover - guard
-            self.stats.add("cascade_depth_overflows")
-            return now, now
-        parent_address = layout.chunk_address(location.parent_chunk)
-        self.stats.add("hash_chunk_reads")
-        parent_ready, parent_chain = self._fetch_checked(parent_address, now,
-                                                         kind="hash",
-                                                         depth=depth + 1)
-        self.fill_l2(parent_address, now, dirty=False, kind="hash",
-                      depth=depth + 1)
-        return parent_ready, parent_chain
+        engine = self.engine
+        counters = self._counters
+        get = counters.get
+        chunk_bytes = self.chunk_bytes
+        pending = []
+        while True:
+            slot, start = engine.begin_check(now)
+            data_ready, full_ready = self.memory.read_critical(
+                start, chunk_bytes, kind)
+            hashed = engine.hash_op(full_ready, chunk_bytes)
+            parent = chunk // self.arity - 1
+            if parent < 0:  # the hash is in secure memory
+                ready = done = start
+                break
+            entry = parent * chunk_bytes + (chunk % self.arity) * self.hash_bytes
+            if self.l2.access(entry, write=False, kind="hash").hit:
+                counters["hash_l2_hits"] = get("hash_l2_hits", 0) + 1
+                ready = done = start + self._l2_latency
+                break
+            counters["hash_l2_misses"] = get("hash_l2_misses", 0) + 1
+            if depth >= MAX_CASCADE_DEPTH:  # pragma: no cover - guard
+                counters["cascade_depth_overflows"] = (
+                    get("cascade_depth_overflows", 0) + 1)
+                ready = done = start
+                break
+            counters["hash_chunk_reads"] = get("hash_chunk_reads", 0) + 1
+            pending.append((slot, data_ready, hashed, start, depth, parent))
+            chunk, now, kind, depth = parent, start, "hash", depth + 1
+        # ready/done: when the topmost chunk's expected hash is available,
+        # and when everything above it is verified
+        while True:
+            own_check = max(hashed, ready)
+            engine.finish_check(slot, own_check)
+            ready, done = data_ready, max(own_check, done)
+            if not pending:
+                return ready, done
+            slot, data_ready, hashed, start, depth, parent = pending.pop()
+            self.fill_l2(parent * chunk_bytes, start, dirty=False, kind="hash",
+                         depth=depth + 1)
 
     # -- write-back path ------------------------------------------------------------
 
     def handle_writeback(self, victim_address: int, now: int, depth: int = 0) -> None:
         """Hash the evicted block, store it, update the parent through L2."""
-        self.stats.add("writebacks")
-        layout = self.layout
+        counters = self._counters
+        get = counters.get
+        counters["writebacks"] = get("writebacks", 0) + 1
+        chunk = self._chunk_at(victim_address)
+        chunk_bytes = self.chunk_bytes
         slot, start = self.engine.begin_writeback(now)
-        hashed = self.engine.hash_op(start, layout.chunk_bytes)
+        hashed = self.engine.hash_op(start, chunk_bytes)
         self.memory.write(start, self.block_bytes, kind="writeback")
         self.engine.finish_writeback(slot, hashed)
-        chunk = layout.chunk_at_address(victim_address)
-        location = layout.hash_location(chunk)
-        if location.in_secure_memory:
+        parent = chunk // self.arity - 1
+        if parent < 0:
             return
-        lookup = self.l2.access(location.address, write=True, kind="hash")
-        if lookup.hit:
-            self.stats.add("hash_l2_hits")
+        entry = parent * chunk_bytes + (chunk % self.arity) * self.hash_bytes
+        if self.l2.access(entry, write=True, kind="hash").hit:
+            counters["hash_l2_hits"] = get("hash_l2_hits", 0) + 1
             return
-        self.stats.add("hash_l2_misses")
+        counters["hash_l2_misses"] = get("hash_l2_misses", 0) + 1
         if depth >= MAX_CASCADE_DEPTH:
-            self.stats.add("cascade_depth_overflows")
+            counters["cascade_depth_overflows"] = get("cascade_depth_overflows", 0) + 1
             return
         # Write-allocate the parent: fetch, verify, then dirty it in L2.
-        parent_address = layout.chunk_address(location.parent_chunk)
-        self.stats.add("hash_chunk_reads")
-        self._fetch_checked(parent_address, now, kind="hash", depth=depth + 1)
-        self.fill_l2(parent_address, now, dirty=True, kind="hash", depth=depth + 1)
+        counters["hash_chunk_reads"] = get("hash_chunk_reads", 0) + 1
+        self._fetch_checked(parent, now, "hash", depth + 1)
+        self.fill_l2(parent * chunk_bytes, now, dirty=True, kind="hash",
+                     depth=depth + 1)

@@ -20,42 +20,44 @@ class IHashScheme(MHashScheme):
 
     def handle_writeback(self, victim_address: int, now: int, depth: int = 0) -> None:
         """Incremental write-back: parent MAC + one unchecked old read."""
-        self.stats.add("writebacks")
-        layout = self.layout
-        chunk = layout.chunk_at_address(victim_address)
-        location = layout.hash_location(chunk)
+        counters = self._counters
+        get = counters.get
+        counters["writebacks"] = get("writebacks", 0) + 1
+        chunk = self._chunk_at(victim_address)
+        parent = chunk // self.arity - 1
+        entry = parent * self.chunk_bytes + (chunk % self.arity) * self.hash_bytes
         slot, start = self.engine.begin_writeback(now)
 
         # 1. read the parent MAC entry with ReadAndCheck (through the L2)
         entry_ready = start
-        if not location.in_secure_memory:
-            lookup = self.l2.access(location.address, write=False, kind="hash")
-            if lookup.hit:
-                self.stats.add("hash_l2_hits")
-                entry_ready = start + self.config.l2.latency_cycles
+        if parent >= 0:
+            if self.l2.access(entry, write=False, kind="hash").hit:
+                counters["hash_l2_hits"] = get("hash_l2_hits", 0) + 1
+                entry_ready = start + self._l2_latency
             else:
-                self.stats.add("hash_l2_misses")
+                counters["hash_l2_misses"] = get("hash_l2_misses", 0) + 1
                 if depth < MAX_CASCADE_DEPTH:
                     _, parent_done = self._fetch_and_verify_chunk(
-                        location.parent_chunk, start, needed=None, write=False,
+                        parent, start, needed=None, write=False,
                         depth=depth + 1,
                     )
                     entry_ready = parent_done
                 else:
-                    self.stats.add("cascade_depth_overflows")
+                    counters["cascade_depth_overflows"] = (
+                        get("cascade_depth_overflows", 0) + 1)
 
         # 2. read the old block value directly from memory — unchecked
-        self.stats.add("unchecked_old_reads")
+        counters["unchecked_old_reads"] = get("unchecked_old_reads", 0) + 1
         old_ready = self.memory.read(start, self.block_bytes, kind="old")
 
         # 3. update the MAC: hash the old and the new block terms
         old_term = self.engine.hash_op(old_ready, self.block_bytes)
         new_term = self.engine.hash_op(start, self.block_bytes)
         mac_done = max(old_term, new_term, entry_ready)
-        self.stats.add("mac_updates")
+        counters["mac_updates"] = get("mac_updates", 0) + 1
 
         # 4. write the block; dirty the entry in the L2 (visible together)
         self.memory.write(start, self.block_bytes, kind="writeback")
-        if not location.in_secure_memory:
-            self.l2.access(location.address, write=True, kind="hash")
+        if parent >= 0:
+            self.l2.access(entry, write=True, kind="hash")
         self.engine.finish_writeback(slot, mac_done)

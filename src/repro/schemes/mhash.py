@@ -24,11 +24,11 @@ class MHashScheme(TimingScheme):
     # -- miss path -----------------------------------------------------------------
 
     def handle_data_miss(self, address: int, now: int, write: bool) -> MissOutcome:
-        self.stats.add("data_misses")
-        chunk = self.layout.chunk_at_address(address)
+        counters = self._counters
+        counters["data_misses"] = counters.get("data_misses", 0) + 1
         data_ready, check_done = self._fetch_and_verify_chunk(
-            chunk, now, needed=self.l2.block_address(address), write=write,
-            depth=0,
+            self._chunk_at(address), now,
+            needed=self.l2.block_address(address), write=write, depth=0,
         )
         return MissOutcome(data_ready=data_ready, check_done=check_done)
 
@@ -47,117 +47,160 @@ class MHashScheme(TimingScheme):
         ``(data_ready, check_done)``.  A read-buffer slot is held from the
         first fetch until this chunk's own MAC/hash comparison completes.
         """
-        layout = self.layout
-        base = layout.chunk_address(chunk)
         slot, now = self.engine.begin_check(now)
-        data_ready = now
-        assembled = now
-        for index in range(self.blocks_per_chunk):
-            block_address = base + index * self.block_bytes
-            if block_address == needed:
-                self.stats.add("data_block_reads")
-                data_ready, ready = self.memory.read_critical(
-                    now, self.block_bytes, kind="data")
-                self.fill_l2(block_address, now, dirty=write, kind="data",
-                              depth=depth)
-            elif self.l2.probe(block_address) and not self.l2.is_dirty(block_address):
-                # clean in cache: equals memory, no bus traffic
-                self.stats.add("chunk_blocks_from_cache")
-                continue
-            else:
-                # uncached, or dirty (the hash covers the memory image)
-                self.stats.add("chunk_assembly_reads")
-                ready = self.memory.read(now, self.block_bytes, kind="hash")
-                if not self.l2.probe(block_address):
-                    self.fill_l2(block_address, now, dirty=False, kind="data",
-                                  depth=depth)
-            assembled = max(assembled, ready)
-        assembled = max(assembled, data_ready)
-        if needed is None:
-            # internal fetch: the "data" the caller waits on is the chunk
-            data_ready = assembled
-        hashed = self.engine.hash_op(assembled, layout.chunk_bytes)
+        data_ready, hashed = self._assemble(chunk, now, needed, write, depth)
         entry_ready, chain_done = self._entry_lookup(chunk, now, depth)
         own_check = max(hashed, entry_ready)
         self.engine.finish_check(slot, own_check)
         return data_ready, max(own_check, chain_done)
 
+    def _assemble(self, chunk: int, now: int, needed: Optional[int],
+                  write: bool, depth: int) -> Tuple[int, int]:
+        """Gather and hash every block of ``chunk``, allocating in the L2.
+
+        Returns ``(data_ready, hashed)``: when the ``needed`` block (for an
+        internal fetch, the whole chunk) is usable, and when the chunk's
+        hash is computed.
+        """
+        counters = self._counters
+        get = counters.get
+        l2 = self.l2
+        memory = self.memory
+        block_bytes = self.block_bytes
+        base = chunk * self.chunk_bytes
+        data_ready = now
+        assembled = now
+        for index in range(self.blocks_per_chunk):
+            block_address = base + index * block_bytes
+            if block_address == needed:
+                counters["data_block_reads"] = get("data_block_reads", 0) + 1
+                data_ready, ready = memory.read_critical(now, block_bytes,
+                                                         kind="data")
+                self.fill_l2(block_address, now, dirty=write, kind="data",
+                             depth=depth)
+            elif l2.probe(block_address) and not l2.is_dirty(block_address):
+                # clean in cache: equals memory, no bus traffic
+                counters["chunk_blocks_from_cache"] = (
+                    get("chunk_blocks_from_cache", 0) + 1)
+                continue
+            else:
+                # uncached, or dirty (the hash covers the memory image)
+                counters["chunk_assembly_reads"] = (
+                    get("chunk_assembly_reads", 0) + 1)
+                ready = memory.read(now, block_bytes, kind="hash")
+                if not l2.probe(block_address):
+                    self.fill_l2(block_address, now, dirty=False, kind="data",
+                                 depth=depth)
+            assembled = max(assembled, ready)
+        assembled = max(assembled, data_ready)
+        if needed is None:
+            # internal fetch: the "data" the caller waits on is the chunk
+            data_ready = assembled
+        return data_ready, self.engine.hash_op(assembled, self.chunk_bytes)
+
     def _entry_lookup(self, chunk: int, now: int, depth: int) -> Tuple[int, int]:
-        """Locate the tree entry; returns (value_ready, chain_done)."""
-        location = self.layout.hash_location(chunk)
-        if location.in_secure_memory:
-            return now, now
-        lookup = self.l2.access(location.address, write=False, kind="hash")
-        if lookup.hit:
-            self.stats.add("hash_l2_hits")
-            ready = now + self.config.l2.latency_cycles
-            return ready, ready
-        self.stats.add("hash_l2_misses")
-        if depth >= MAX_CASCADE_DEPTH:  # pragma: no cover - guard
-            self.stats.add("cascade_depth_overflows")
-            return now, now
-        parent_ready, parent_chain = self._fetch_and_verify_chunk(
-            location.parent_chunk, now, needed=None, write=False, depth=depth + 1
-        )
-        return parent_ready, parent_chain
+        """Read ``chunk``'s tree entry through the L2.
+
+        While the entry misses, the parent chunk is assembled and hashed
+        (holding its own read-buffer slot) and its entry looked up in
+        turn; the climb stops at an L2 hit or at secure memory, and the
+        unwind completes each parent's check top-down.  Returns
+        ``(value_ready, chain_done)``.
+        """
+        engine = self.engine
+        counters = self._counters
+        get = counters.get
+        pending = []
+        while True:
+            parent = chunk // self.arity - 1
+            if parent < 0:  # the entry is in secure memory
+                ready = done = now
+                break
+            entry = parent * self.chunk_bytes + (chunk % self.arity) * self.hash_bytes
+            if self.l2.access(entry, write=False, kind="hash").hit:
+                counters["hash_l2_hits"] = get("hash_l2_hits", 0) + 1
+                ready = done = now + self._l2_latency
+                break
+            counters["hash_l2_misses"] = get("hash_l2_misses", 0) + 1
+            if depth >= MAX_CASCADE_DEPTH:  # pragma: no cover - guard
+                counters["cascade_depth_overflows"] = (
+                    get("cascade_depth_overflows", 0) + 1)
+                ready = done = now
+                break
+            chunk, depth = parent, depth + 1
+            slot, now = engine.begin_check(now)
+            data_ready, hashed = self._assemble(chunk, now, None, False, depth)
+            pending.append((slot, data_ready, hashed))
+        while pending:
+            slot, data_ready, hashed = pending.pop()
+            own_check = max(hashed, ready)
+            engine.finish_check(slot, own_check)
+            ready, done = data_ready, max(own_check, done)
+        return ready, done
 
     # -- write-back path ----------------------------------------------------------------
 
     def handle_writeback(self, victim_address: int, now: int, depth: int = 0) -> None:
         """Assemble the chunk, flush all its dirt, re-hash, update the entry."""
-        self.stats.add("writebacks")
-        layout = self.layout
-        chunk = layout.chunk_at_address(victim_address)
-        base = layout.chunk_address(chunk)
+        counters = self._counters
+        get = counters.get
+        counters["writebacks"] = get("writebacks", 0) + 1
+        l2 = self.l2
+        chunk = self._chunk_at(victim_address)
+        base = chunk * self.chunk_bytes
+        victim_block = l2.block_address(victim_address)
         slot, start = self.engine.begin_writeback(now)
 
         assembled = start
         dirty_blocks = 1  # the victim itself
         for index in range(self.blocks_per_chunk):
             block_address = base + index * self.block_bytes
-            if block_address == self.l2.block_address(victim_address):
+            if block_address == victim_block:
                 continue  # data travelled with the eviction
-            if self.l2.probe(block_address) and not self.l2.is_dirty(block_address):
+            if l2.probe(block_address) and not l2.is_dirty(block_address):
                 # clean in cache: equals memory, participates for free
-                self.stats.add("chunk_blocks_from_cache")
+                counters["chunk_blocks_from_cache"] = (
+                    get("chunk_blocks_from_cache", 0) + 1)
                 continue
-            if self.l2.is_dirty(block_address):
+            if l2.is_dirty(block_address):
                 dirty_blocks += 1
-                self.l2.mark_clean(block_address)
+                l2.mark_clean(block_address)
             # uncached or dirty: the memory image must come over the bus
-            self.stats.add("chunk_assembly_reads")
+            counters["chunk_assembly_reads"] = (
+                get("chunk_assembly_reads", 0) + 1)
             assembled = max(assembled,
                             self.memory.read(start, self.block_bytes,
                                              kind="hash"))
         # one hash to check the old image, one to generate the new entry
-        checked = self.engine.hash_op(assembled, layout.chunk_bytes)
+        checked = self.engine.hash_op(assembled, self.chunk_bytes)
         entry_ready, _ = self._entry_lookup(chunk, start, depth)
         rehashed = self.engine.hash_op(max(assembled, checked, entry_ready),
-                                       layout.chunk_bytes)
+                                       self.chunk_bytes)
         for _ in range(dirty_blocks):
-            self.stats.add("dirty_block_writes")
+            counters["dirty_block_writes"] = get("dirty_block_writes", 0) + 1
             self.memory.write(start, self.block_bytes, kind="writeback")
         self.engine.finish_writeback(slot, rehashed)
         self._update_entry(chunk, now, depth)
 
     def _update_entry(self, chunk: int, now: int, depth: int) -> None:
         """Write the new entry into the parent through the L2 (Write op)."""
-        location = self.layout.hash_location(chunk)
-        if location.in_secure_memory:
+        parent = chunk // self.arity - 1
+        if parent < 0:
             return
-        lookup = self.l2.access(location.address, write=True, kind="hash")
-        if lookup.hit:
-            self.stats.add("hash_l2_hits")
+        entry = parent * self.chunk_bytes + (chunk % self.arity) * self.hash_bytes
+        counters = self._counters
+        if self.l2.access(entry, write=True, kind="hash").hit:
+            counters["hash_l2_hits"] = counters.get("hash_l2_hits", 0) + 1
             return
-        self.stats.add("hash_l2_misses")
+        counters["hash_l2_misses"] = counters.get("hash_l2_misses", 0) + 1
         if depth >= MAX_CASCADE_DEPTH:
-            self.stats.add("cascade_depth_overflows")
+            counters["cascade_depth_overflows"] = (
+                counters.get("cascade_depth_overflows", 0) + 1)
             return
         slot, start = self.engine.begin_check(now)
         _, parent_done = self._fetch_and_verify_chunk(
-            location.parent_chunk, start, needed=None, write=False,
-            depth=depth + 1,
+            parent, start, needed=None, write=False, depth=depth + 1,
         )
         self.engine.finish_check(slot, parent_done)
         # dirty the entry's block now that the parent chunk is resident
-        self.l2.access(location.address, write=True, kind="hash")
+        self.l2.access(entry, write=True, kind="hash")

@@ -6,6 +6,8 @@ from repro.common import BusConfig, HashEngineConfig
 from repro.common.config import DramConfig
 from repro.dram import MainMemoryTiming
 from repro.hashengine import HashEngineTiming
+from repro.hashengine.engine import _BufferPool
+from repro.sim.sweep.figures import FIG6_THROUGHPUTS
 
 
 def make_memory():
@@ -54,6 +56,19 @@ class TestMainMemoryTiming:
         assert memory.write(123, 64) == 123
         assert memory.stats["bytes_total"] == 0
 
+    @pytest.mark.parametrize("bus", [BusConfig(), BusConfig(clock_mhz=133,
+                                                            width_bytes=16)])
+    def test_memoized_transfer_cycles_match_config(self, bus):
+        memory = MainMemoryTiming(bus, DramConfig())
+        for n_bytes in range(1, 257):
+            assert memory.transfer_cycles(n_bytes) == bus.transfer_cycles(n_bytes)
+            # the memo is what the access path reads
+            fresh = MainMemoryTiming(bus, DramConfig())
+            critical, full = fresh.read_critical(0, n_bytes)
+            assert full == 80 + bus.transfer_cycles(n_bytes)
+            assert critical == 80 + bus.transfer_cycles(bus.width_bytes)
+            assert fresh.write(full, n_bytes) == full + bus.transfer_cycles(n_bytes)
+
 
 class TestHashEngineTiming:
     def test_single_hash_latency(self):
@@ -101,3 +116,38 @@ class TestHashEngineTiming:
         engine.timing_enabled = True
         _, start = engine.begin_check(0)
         assert start == 0  # the disabled finish_check left no residue
+
+    @pytest.mark.parametrize("throughput", FIG6_THROUGHPUTS)
+    def test_memoized_occupancy_matches_config(self, throughput):
+        config = HashEngineConfig(throughput_gb_per_s=throughput)
+        for n_bytes in (1, 8, 16, 32, 64, 100, 128, 256):
+            occupancy = config.hash_occupancy_cycles(n_bytes)
+            engine = HashEngineTiming(config)
+            assert engine.hash_occupancy_cycles(n_bytes) == occupancy
+            fresh = HashEngineTiming(config)
+            assert fresh.hash_op(0, n_bytes) == config.latency_cycles + occupancy
+            assert fresh.hash_op(0, n_bytes) == (config.latency_cycles
+                                                 + 2 * occupancy)
+
+
+class TestBufferPool:
+    def test_equal_free_times_pick_the_lowest_slot(self):
+        pool = _BufferPool(4)
+        assert [pool.acquire(0)[0] for _ in range(4)] == [0, 1, 2, 3]
+        # all four now free at 1: the lowest index wins again
+        assert pool.acquire(0) == (0, 1)
+
+    def test_tie_break_survives_restore(self):
+        pool = _BufferPool(4)
+        pool.restore((9, 3, 3, 7))
+        assert pool.acquire(0) == (1, 3)
+        assert pool.acquire(0) == (2, 3)
+        assert pool.acquire(0) == (1, 4)
+        assert pool.acquire(10) == (2, 10)
+
+    def test_pristine_restore_into_other_depth(self):
+        pool = _BufferPool(3)
+        pool.hold(2, 50)
+        pool.restore((0,) * 8)
+        assert pool.snapshot() == (0, 0, 0)
+        assert [pool.acquire(5)[0] for _ in range(3)] == [0, 1, 2]
