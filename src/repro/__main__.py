@@ -56,8 +56,8 @@ Commands:
 ``check [PATHS ...] [--format text|github] [--selftest] [--list-rules]
 [--verbose] [--baseline FILE [--update-baseline]]``
     Static-analysis gate: determinism, snapshot-completeness,
-    counter-symmetry, scheme-API conformance, lock-discipline,
-    lock-ordering and wire-protocol passes.
+    counter-symmetry, scheme-API conformance, lock-discipline and
+    lock-ordering passes.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """``repro.checks`` — the AST-based static-analysis gate.
 
-Seven passes over ``src/repro/`` prove the invariants the sweep cache,
+Six passes over ``src/repro/`` prove the invariants the sweep cache,
 warm-state sharing and the distributed layer depend on:
 
 1. determinism lint (no ambient randomness/clock/hash-seed sensitivity),
@@ -13,10 +13,12 @@ warm-state sharing and the distributed layer depend on:
 5. lock discipline (thread-shared mutable attributes only touched under
    the lock that owns them),
 6. lock ordering (no acquisition cycles, no blocking calls under a
-   lock, no unjoined threads),
-7. wire-protocol conformance (client request builders vs server
-   handlers: endpoints, verbs, payload fields, status codes, and
-   ``*_to_dict``/``*_from_dict`` symmetry).
+   lock, no unjoined threads).
+
+The HTTP protocols need no pass: both servers and their clients are
+built from one route table (:mod:`repro.common.wire`), whose
+self-consistency check :func:`~repro.common.wire.check_routes` runs in
+the test suite.
 
 The :mod:`.tsan` module is the runtime twin of passes 5–6: with
 ``REPRO_TSAN=1`` the sweep engine's locks are instrumented and guard /
@@ -38,7 +40,6 @@ from .runner import (
 from .snapshots import SNAPSHOT_ALLOWLIST, check_snapshots
 from .symmetry import COUNTER_ATTRS, check_symmetry
 from .waivers import apply_waivers, scan_waivers
-from .wireproto import check_wire_protocol
 
 __all__ = [
     "COUNTER_ATTRS",
@@ -55,7 +56,6 @@ __all__ = [
     "check_lock_ordering",
     "check_snapshots",
     "check_symmetry",
-    "check_wire_protocol",
     "collect_findings",
     "default_root",
     "diff_baseline",

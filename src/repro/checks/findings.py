@@ -90,32 +90,6 @@ RULES = {
         "threads die mid-write on interpreter exit and non-daemon "
         "threads hang it"
     ),
-    "wire-endpoint-unhandled": (
-        "client request targets an endpoint/verb no server handler "
-        "routes; the call can only ever produce a 404"
-    ),
-    "wire-endpoint-unused": (
-        "server handler routes an endpoint no client ever requests; "
-        "dead protocol surface (or a client that silently stopped "
-        "calling it)"
-    ),
-    "wire-field-unread": (
-        "client sends a payload field no server handler for that verb "
-        "reads; the value silently falls on the floor"
-    ),
-    "wire-field-unsent": (
-        "server handler reads a payload field no client sends; the "
-        "handler only ever sees its fallback default"
-    ),
-    "wire-status-unhandled": (
-        "server sends a status code no client comparison distinguishes "
-        "from success; the client would misread the response"
-    ),
-    "wire-spec-drift": (
-        "X_to_dict / X_from_dict key mismatch: a key written is never "
-        "read back (or read but never written), so wire round-trips "
-        "silently drop data"
-    ),
     "waiver-missing-justification": (
         "repro-check waiver without a `-- <justification>` trailer; "
         "unjustified waivers do not suppress findings"

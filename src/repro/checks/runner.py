@@ -22,7 +22,6 @@ from .ordering import check_lock_ordering
 from .snapshots import check_snapshots
 from .symmetry import check_symmetry
 from .waivers import apply_waivers, scan_waivers
-from .wireproto import check_wire_protocol
 
 #: directories never scanned by the default run: the fixtures contain
 #: violations on purpose, and the checker does not lint itself.
@@ -59,7 +58,6 @@ def run_passes(index: ProjectIndex,
         ("conformance", lambda: check_conformance(index)),
         ("lock-discipline", lambda: check_lock_discipline(index)),
         ("lock-ordering", lambda: check_lock_ordering(index)),
-        ("wire-protocol", lambda: check_wire_protocol(index)),
     ]
     findings: List[Finding] = []
     for name, run in passes:

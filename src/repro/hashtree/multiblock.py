@@ -81,6 +81,9 @@ class MultiBlockHashTree:
     ):
         if memory.size_bytes < layout.physical_bytes:
             raise ValueError("memory too small for the tree layout")
+        if blocks_per_chunk < 1:
+            raise ValueError(f"blocks_per_chunk must be >= 1, "
+                             f"got {blocks_per_chunk}")
         if layout.chunk_bytes % blocks_per_chunk != 0:
             raise ValueError("chunk must split into equal blocks")
         self.memory = memory

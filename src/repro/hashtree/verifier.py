@@ -169,9 +169,13 @@ class MemoryVerifier:
         Section 5.9 background checking).  Results are byte-identical to
         issuing :meth:`read` per span; every span is validated before any
         chunk is fetched, so a bad span fails the whole batch atomically.
+        An empty batch is a ``ValueError``.
         """
         with self._lock:
             self._require_active()
+            spans = list(spans)
+            if not spans:
+                raise ValueError("spans must be a non-empty list")
             plans: List[List[Tuple[int, int, int]]] = []
             for address, length in spans:
                 self._refuse_unprotected(address, length)
@@ -240,8 +244,9 @@ class MemoryVerifier:
         load.
         """
         with self._lock:
-            if length <= 0:
-                raise ValueError("length must be positive")
+            # bounds first: the probe loop below runs once per chunk of
+            # the span, so a huge span must be refused before it starts
+            physical = self._physical_span(address, length)
             for offset in range(0, length, self.layout.chunk_bytes):
                 probe = address + offset
                 if self.is_protected(probe) or self.is_protected(
@@ -250,7 +255,7 @@ class MemoryVerifier:
                     raise SecureModeError(
                         f"address {probe:#x} is protected; use a normal read"
                     )
-            return self.memory.peek(*self._physical_span(address, length))
+            return self.memory.peek(*physical)
 
     def write_without_checking(self, address: int, data: bytes) -> None:
         """Raw store into unprotected bytes (models a DMA landing zone)."""
@@ -260,11 +265,11 @@ class MemoryVerifier:
                 # *before* the span, and could be refused (or allowed)
                 # based on an unrelated chunk
                 raise ValueError("length must be positive")
+            physical, _ = self._physical_span(address, len(data))
             probes = list(range(0, len(data), self.layout.chunk_bytes))
             probes.append(len(data) - 1)
             if any(self.is_protected(address + off) for off in probes):
                 raise SecureModeError("cannot write protected bytes unchecked")
-            physical, _ = self._physical_span(address, len(data))
             self.memory.write(physical, data)
 
     def unprotect_range(self, address: int, length: int) -> None:
@@ -307,6 +312,7 @@ class MemoryVerifier:
     # -- internals ------------------------------------------------------------------------
 
     def _chunks_covering(self, address: int, length: int) -> range:
+        _require_ints(address, length)
         if length <= 0:
             raise ValueError("length must be positive")
         if address < 0 or address + length > self.layout.data_bytes:
@@ -322,6 +328,7 @@ class MemoryVerifier:
         return range(first, last + 1)
 
     def _refuse_unprotected(self, address: int, length: int) -> None:
+        _require_ints(address, length)
         if length <= 0:
             raise ValueError("length must be positive")
         if address + length > self.layout.data_bytes:
@@ -337,6 +344,7 @@ class MemoryVerifier:
 
     def _physical_span(self, address: int, length: int) -> tuple[int, int]:
         """Map a verifier-space span to (physical_address, length)."""
+        _require_ints(address, length)
         if length <= 0:
             raise ValueError("length must be positive")
         if 0 <= address < self.layout.data_bytes:
@@ -355,3 +363,10 @@ class MemoryVerifier:
             f"protected segment [0, {self.layout.data_bytes:#x}) and the "
             f"unprotected window [{window.start:#x}, {window.stop:#x})"
         )
+
+
+def _require_ints(address, length) -> None:
+    """A span is two integers (bools count, as everywhere in Python)."""
+    if not isinstance(address, int) or not isinstance(length, int):
+        raise TypeError(f"span ({address!r}, {length!r}) must be two "
+                        f"integers")

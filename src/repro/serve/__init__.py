@@ -12,8 +12,8 @@ serving-scale system in the spirit of the follow-on literature
   share one verification walk (generalizing Section 5.9's speculative
   background checking);
 * :mod:`repro.serve.service` — the HTTP front end and
-  :class:`ServeClient`, reusing the sweep store's keep-alive + gzip
-  :class:`~repro.sim.sweep.store.HttpChannel`;
+  :class:`ServeClient`, both built from one route table over the shared
+  transport of :mod:`repro.common.wire`;
 * :mod:`repro.serve.loadgen` — the mixed-tenant load generator behind
   ``python -m repro loadgen`` (latency percentiles + amortization ratio
   into ``BENCH_serve.json``).

@@ -1,13 +1,8 @@
 """HTTP front end for the tree forest, plus its client.
 
-Server half: :class:`_ServeHandler` routes tenant operations with the
-same hand-rolled conventions as the sweep store (``parts[i] == "lit"``
-tests, ``payload.get(...)`` reads), so the ``repro check``
-wire-protocol pass covers this protocol too.  Client half:
-:class:`ServeClient` rides the sweep store's keep-alive + gzip
-:class:`~repro.sim.sweep.store.HttpChannel`.
-
-Protocol (all bodies JSON; data bytes travel hex-encoded):
+Both halves are built from one route table, :data:`SERVE_ROUTES`, over
+the shared transport of :mod:`repro.common.wire`.  All bodies are JSON;
+data bytes travel hex-encoded.
 
 =======  ==========================  =======================================
 verb     path                        meaning
@@ -26,23 +21,29 @@ POST     ``/t/<name>/rebuild``       rebuild_range after DMA
 GET      ``/t/<name>/stats``         walk/batch counters
 =======  ==========================  =======================================
 
-Error mapping (mirrored by :class:`ServeClient`): 400 bad request /
-``ValueError``, 403 ``SecureModeError`` (discipline violation), 404
-unknown tenant or route, 409 tamper detected (``IntegrityError``) or
-tenant already exists.  Bodies of error responses are
-``{"error": str, "kind": str}`` so the client re-raises the exact
-exception type a direct :class:`MemoryVerifier` call would have raised.
+Handlers pass the request's JSON values to the tenant's verifier as
+they are, so the verifier's own checks answer bad input.  Every error
+answer is ``{"error": str, "kind": str}``, and :class:`ServeClient`
+re-raises the exception class the kind stands for
+(:data:`repro.common.wire.KINDS`) — the exact type a direct
+:class:`MemoryVerifier` call would have raised.
 """
 
 from __future__ import annotations
 
-import gzip
-import json
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import List, Optional, Tuple
+from http.server import ThreadingHTTPServer
+from typing import List, Tuple
 
 from ..common.errors import ConfigurationError, IntegrityError, SecureModeError
-from ..sim.sweep.store import GZIP_MIN_BYTES, HttpChannel
+from ..common.wire import (
+    BAD_INPUT,
+    HttpChannel,
+    Route,
+    WireHandler,
+    error_for,
+    make_server,
+    route_table,
+)
 from .forest import TenantConfig, TreeForest
 
 
@@ -50,221 +51,127 @@ class ServeError(OSError):
     """Transport/protocol failure talking to a serve front end."""
 
 
-class _ServeHandler(BaseHTTPRequestHandler):
+class _ServeHandler(WireHandler):
     """Request handler bound to one server's :class:`TreeForest`."""
 
     server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.1"
-    #: responses are header+body writes; see _StoreHandler's note on
-    #: Nagle + delayed ACK stalls over keep-alive connections.
-    disable_nagle_algorithm = True
-    #: a write payload is at most one tenant's segment, hex-encoded.
-    max_body_bytes = 8 * 1024 * 1024
-
-    def _forest(self) -> TreeForest:
-        return self.server.forest  # type: ignore[attr-defined]
-
-    def _accepts_gzip(self) -> bool:
-        return "gzip" in self.headers.get("Accept-Encoding", "")
-
-    def _send_object(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        if self._accepts_gzip() and len(body) >= GZIP_MIN_BYTES:
-            body = gzip.compress(body)
-            self.send_header("Content-Encoding", "gzip")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_empty(self, code: int) -> None:
-        self.send_response(code)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    def _send_error(self, code: int, kind: str, message: str) -> None:
-        self._send_object(code, {"error": message, "kind": kind})
-
-    def _read_body(self) -> Optional[bytes]:
-        """The request body, gunzipped if needed; ``None`` = error sent."""
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
-            self._send_error(411, "bad-request", "length required")
-            return None
-        if not 0 <= length <= self.max_body_bytes:
-            self._send_error(413, "bad-request", "body too large")
-            return None
-        body = self.rfile.read(length)
-        if self.headers.get("Content-Encoding") == "gzip":
-            try:
-                body = gzip.decompress(body)
-            except (OSError, EOFError):
-                self._send_error(400, "bad-request", "bad gzip body")
-                return None
-            if len(body) > self.max_body_bytes:
-                self._send_error(413, "bad-request", "body too large")
-                return None
-        return body
-
-    # -- routes ------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        forest = self._forest()
-        path, _, _query = self.path.partition("?")
-        path = path.rstrip("/")
-        # repro-check: disable=wire-endpoint-unused -- health endpoint for humans and load balancers
-        if path == "":
-            self._send_object(200, {"service": "repro-serve",
-                                    "tenants": len(forest)})
-            return
-        parts = self.path.strip("/").split("/")
-        if parts == ["tenants"]:
-            self._send_object(200, {"tenants": forest.names()})
-            return
-        if len(parts) == 3 and parts[0] == "t" and parts[2] == "stats":
-            try:
-                tenant = forest.get(parts[1])
-            except KeyError as err:
-                self._send_error(404, "unknown-tenant", str(err))
-                return
-            stats = dict(tenant.verifier.walk_counters())
-            stats.update(tenant.batcher.counters())
-            self._send_object(200, stats)
-            return
-        self._send_error(404, "bad-request", "unknown path")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        forest = self._forest()
-        parts = self.path.strip("/").split("/")
-        if len(parts) == 2 and parts[0] == "t":
-            try:
-                forest.evict(parts[1])
-            except KeyError as err:
-                self._send_error(404, "unknown-tenant", str(err))
-                return
-            self._send_empty(204)
-            return
-        self._send_error(404, "bad-request", "unknown path")
+        self.dispatch()
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        forest = self._forest()
-        parts = self.path.strip("/").split("/")
-        body = self._read_body()
-        if body is None:
-            return
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except ValueError as err:
-            self._send_error(400, "bad-request", f"unparseable body: {err}")
-            return
-        if not isinstance(payload, dict):
-            self._send_error(400, "bad-request", "body must be an object")
-            return
-        if parts == ["tenants"]:
-            try:
-                config = TenantConfig.from_dict(payload)
-                forest.create(config)
-            except KeyError as err:
-                self._send_error(409, "tenant-exists", str(err))
-                return
-            except (ConfigurationError, TypeError, ValueError) as err:
-                self._send_error(400, "bad-request", str(err))
-                return
-            self._send_object(201, {"created": config.name})
-            return
-        if len(parts) == 3 and parts[0] == "t":
-            try:
-                tenant = forest.get(parts[1])
-            except KeyError as err:
-                self._send_error(404, "unknown-tenant", str(err))
-                return
-            try:
-                self._tenant_op(tenant, parts[2], payload)
-            except SecureModeError as err:
-                self._send_error(403, "secure-mode", str(err))
-            except IntegrityError as err:
-                self._send_error(409, "integrity", str(err))
-            except (TypeError, ValueError) as err:
-                self._send_error(400, "bad-request", str(err))
-            return
-        self._send_error(404, "bad-request", "unknown path")
+        self.dispatch()
 
-    # -- operations --------------------------------------------------------
-
-    def _tenant_op(self, tenant, action: str, payload: dict) -> None:
-        if action == "read":
-            address = _as_int(payload.get("address"))
-            length = _as_int(payload.get("length"))
-            data = tenant.batcher.read(address, length)
-            self._send_object(200, {"data": data.hex()})
-        elif action == "readv":
-            spans = _as_spans(payload.get("spans"))
-            results = tenant.batcher.read_many(spans)
-            self._send_object(200, {"data": [r.hex() for r in results]})
-        elif action == "write":
-            address = _as_int(payload.get("address"))
-            data = _as_bytes(payload.get("data"))
-            tenant.verifier.write(address, data)
-            self._send_empty(204)
-        elif action == "read_unchecked":
-            address = _as_int(payload.get("address"))
-            length = _as_int(payload.get("length"))
-            data = tenant.verifier.read_without_checking(address, length)
-            self._send_object(200, {"data": data.hex()})
-        elif action == "write_unchecked":
-            address = _as_int(payload.get("address"))
-            data = _as_bytes(payload.get("data"))
-            tenant.verifier.write_without_checking(address, data)
-            self._send_empty(204)
-        elif action == "unprotect":
-            address = _as_int(payload.get("address"))
-            length = _as_int(payload.get("length"))
-            tenant.verifier.unprotect_range(address, length)
-            self._send_empty(204)
-        elif action == "rebuild":
-            address = _as_int(payload.get("address"))
-            length = _as_int(payload.get("length"))
-            tenant.verifier.rebuild_range(address, length)
-            self._send_empty(204)
-        else:
-            self._send_error(404, "bad-request", f"unknown action {action!r}")
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # quiet: the service is driven from tests and benchmarks
+    def do_DELETE(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        self.dispatch()
 
 
-def _as_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
+# -- handlers ------------------------------------------------------------------
 
 def _as_bytes(value) -> bytes:
     if not isinstance(value, str):
-        raise ValueError("expected hex-encoded data")
+        raise TypeError("expected hex-encoded data")
     return bytes.fromhex(value)
 
 
-def _as_spans(value) -> List[Tuple[int, int]]:
-    if not isinstance(value, list) or not value:
-        raise ValueError("spans must be a non-empty list of [address, length]")
-    spans = []
-    for item in value:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ValueError(f"bad span {item!r}")
-        spans.append((_as_int(item[0]), _as_int(item[1])))
-    return spans
+def _status(server) -> dict:
+    return {"service": "repro-serve", "tenants": len(server.forest)}
+
+
+def _tenants(server) -> dict:
+    return {"tenants": server.forest.names()}
+
+
+def _create_tenant(server, config) -> dict:
+    config = TenantConfig.from_dict(config)
+    server.forest.create(config)
+    return {"created": config.name}
+
+
+def _evict(server, tenant) -> None:
+    server.forest.evict(tenant)
+
+
+def _read(server, tenant, address, length) -> dict:
+    data = server.forest.get(tenant).batcher.read(address, length)
+    return {"data": data.hex()}
+
+
+def _readv(server, tenant, spans) -> dict:
+    results = server.forest.get(tenant).batcher.read_many(spans)
+    return {"data": [r.hex() for r in results]}
+
+
+def _write(server, tenant, address, data) -> None:
+    server.forest.get(tenant).verifier.write(address, _as_bytes(data))
+
+
+def _read_unchecked(server, tenant, address, length) -> dict:
+    verifier = server.forest.get(tenant).verifier
+    return {"data": verifier.read_without_checking(address, length).hex()}
+
+
+def _write_unchecked(server, tenant, address, data) -> None:
+    server.forest.get(tenant).verifier.write_without_checking(
+        address, _as_bytes(data))
+
+
+def _unprotect(server, tenant, address, length) -> None:
+    server.forest.get(tenant).verifier.unprotect_range(address, length)
+
+
+def _rebuild(server, tenant, address, length) -> None:
+    server.forest.get(tenant).verifier.rebuild_range(address, length)
+
+
+def _stats(server, tenant) -> dict:
+    tenant = server.forest.get(tenant)
+    stats = dict(tenant.verifier.walk_counters())
+    stats.update(tenant.batcher.counters())
+    return stats
+
+
+#: a tenant operation's errors: the ones a direct verifier call raises.
+_TENANT_ERRORS = {KeyError: "unknown-tenant",
+                  SecureModeError: "secure-mode",
+                  IntegrityError: "integrity",
+                  **BAD_INPUT}
+
+
+def _op(name: str, handler, fields: Tuple[str, ...],
+        status: int = 200) -> Route:
+    return Route(name, "POST", f"/t/{{tenant}}/{name}", handler, fields,
+                 errors=_TENANT_ERRORS, status=status)
+
+
+_SPAN = ("address", "length")
+_DATA = ("address", "data")
+
+SERVE_ROUTES = route_table(
+    Route("status", "GET", "/", _status, health=True),
+    Route("tenants", "GET", "/tenants", _tenants),
+    Route("create_tenant", "POST", "/tenants", _create_tenant,
+          body="config", status=201,
+          errors={KeyError: "tenant-exists",
+                  ConfigurationError: "bad-request", **BAD_INPUT}),
+    Route("evict", "DELETE", "/t/{tenant}", _evict, status=204,
+          errors={KeyError: "unknown-tenant"}),
+    _op("read", _read, _SPAN),
+    _op("readv", _readv, ("spans",)),
+    _op("write", _write, _DATA, status=204),
+    _op("read_unchecked", _read_unchecked, _SPAN),
+    _op("write_unchecked", _write_unchecked, _DATA, status=204),
+    _op("unprotect", _unprotect, _SPAN, status=204),
+    _op("rebuild", _rebuild, _SPAN, status=204),
+    Route("stats", "GET", "/t/{tenant}/stats", _stats,
+          errors={KeyError: "unknown-tenant"}),
+)
 
 
 def make_serve_server(forest: TreeForest, host: str = "127.0.0.1",
                       port: int = 0) -> ThreadingHTTPServer:
     """A ready-to-``serve_forever`` front end; ``port=0`` picks a free one."""
-    server = ThreadingHTTPServer((host, port), _ServeHandler)
-    server.forest = forest  # type: ignore[attr-defined]
-    return server
+    return make_server(_ServeHandler, SERVE_ROUTES, host, port, forest=forest)
 
 
 class ServeClient:
@@ -284,92 +191,62 @@ class ServeClient:
     def close(self) -> None:
         self.channel.close()
 
-    # -- plumbing ----------------------------------------------------------
-
-    def _request(self, method: str, path: str,
-                 payload: Optional[dict] = None) -> dict:
-        body = None
-        if payload is not None:
-            body = json.dumps(payload,
-                              separators=(",", ":")).encode("utf-8")
+    def _call(self, name: str, **values) -> dict:
+        request = SERVE_ROUTES[name].request(**values)
         try:
-            response = self.channel.request(method, path, body)
+            response = self.channel.request(*request)
         except OSError as err:
             raise ServeError(f"serve front end unreachable: {err}") from err
-        if response.status >= 500:
-            raise ServeError(
-                f"HTTP {response.status} from {self.base_url}{path}")
         if response.status >= 400:
-            detail: dict = {}
-            try:
-                detail = json.loads(response.body.decode("utf-8"))
-            except ValueError:
-                pass
-            if not isinstance(detail, dict):
-                detail = {}
-            kind = detail.get("kind", "")
-            message = detail.get("error",
-                                 f"HTTP {response.status} on {path}")
-            if kind == "secure-mode":
-                raise SecureModeError(message)
-            if kind == "integrity":
-                raise IntegrityError(message)
-            if kind in ("unknown-tenant", "tenant-exists"):
-                raise KeyError(message)
-            raise ValueError(message)
-        if not response.body:
-            return {}
-        data = json.loads(response.body.decode("utf-8"))
+            raise error_for(response, ServeError)
+        data = response.json()
         return data if isinstance(data, dict) else {}
 
     # -- protocol ----------------------------------------------------------
 
     def status(self) -> dict:
-        return self._request("GET", "/")
+        return self._call("status")
 
     def tenants(self) -> List[str]:
-        return list(self._request("GET", "/tenants").get("tenants", []))
+        return list(self._call("tenants").get("tenants", []))
 
     def create_tenant(self, config: TenantConfig) -> None:
-        payload = config.to_dict()
-        self._request("POST", "/tenants", payload)
+        self._call("create_tenant", config=config.to_dict())
 
     def evict(self, tenant: str) -> None:
-        self._request("DELETE", f"/t/{tenant}")
+        self._call("evict", tenant=tenant)
 
     def read(self, tenant: str, address: int, length: int) -> bytes:
-        data = self._request("POST", f"/t/{tenant}/read",
-                             {"address": address, "length": length})
+        data = self._call("read", tenant=tenant, address=address,
+                          length=length)
         return bytes.fromhex(data.get("data", ""))
 
     def readv(self, tenant: str,
               spans: List[Tuple[int, int]]) -> List[bytes]:
-        data = self._request("POST", f"/t/{tenant}/readv",
-                             {"spans": [[a, n] for a, n in spans]})
+        data = self._call("readv", tenant=tenant,
+                          spans=[[a, n] for a, n in spans])
         return [bytes.fromhex(item) for item in data.get("data", [])]
 
     def write(self, tenant: str, address: int, data: bytes) -> None:
-        self._request("POST", f"/t/{tenant}/write",
-                      {"address": address, "data": data.hex()})
+        self._call("write", tenant=tenant, address=address, data=data.hex())
 
     def read_unchecked(self, tenant: str, address: int,
                        length: int) -> bytes:
-        data = self._request("POST", f"/t/{tenant}/read_unchecked",
-                             {"address": address, "length": length})
+        data = self._call("read_unchecked", tenant=tenant, address=address,
+                          length=length)
         return bytes.fromhex(data.get("data", ""))
 
     def write_unchecked(self, tenant: str, address: int,
                         data: bytes) -> None:
-        self._request("POST", f"/t/{tenant}/write_unchecked",
-                      {"address": address, "data": data.hex()})
+        self._call("write_unchecked", tenant=tenant, address=address,
+                   data=data.hex())
 
     def unprotect(self, tenant: str, address: int, length: int) -> None:
-        self._request("POST", f"/t/{tenant}/unprotect",
-                      {"address": address, "length": length})
+        self._call("unprotect", tenant=tenant, address=address,
+                   length=length)
 
     def rebuild(self, tenant: str, address: int, length: int) -> None:
-        self._request("POST", f"/t/{tenant}/rebuild",
-                      {"address": address, "length": length})
+        self._call("rebuild", tenant=tenant, address=address, length=length)
 
     def stats(self, tenant: str) -> dict:
-        return self._request("GET", f"/t/{tenant}/stats")
+        return self._call("stats", tenant=tenant)

@@ -52,7 +52,6 @@ from .store import (
     STORE_ENV,
     DirectoryStore,
     Fetched,
-    HttpChannel,
     HttpStore,
     PruneReport,
     ResultStore,
@@ -76,7 +75,6 @@ __all__ = [
     "DirectoryStore",
     "FIGURES",
     "Fetched",
-    "HttpChannel",
     "HttpStore",
     "LeaseBoard",
     "PruneReport",

@@ -18,7 +18,7 @@ sweep:
   TTL, not the sweep.
 * :class:`CoordinatorClient` — the stdlib HTTP client side of that
   protocol, with bounded retry/backoff on transient failures, sharing
-  the keep-alive gzip :class:`~repro.sim.sweep.store.HttpChannel`.
+  the keep-alive gzip :class:`~repro.common.wire.HttpChannel`.
 * :func:`run_worker` — the ``python -m repro worker`` loop: claim →
   warm once → measure every cell from restored snapshots → write the
   results back through a tiered store (local L1 + the coordinator as
@@ -42,7 +42,6 @@ cell, never *what* the cell computes.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
@@ -53,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ...checks.tsan import guarded_dict, guarded_list, new_lock
+from ...common.wire import HttpChannel, error_for
 from .fingerprint import cell_fingerprint
 from .runner import (
     CellOutcome,
@@ -64,8 +64,8 @@ from .runner import (
 from .schedule import CostModel, WorkQueue
 from .spec import CellSpec, spec_from_dict, spec_to_dict
 from .store import (
+    STORE_ROUTES,
     DirectoryStore,
-    HttpChannel,
     HttpStore,
     ResultStore,
     TieredStore,
@@ -459,11 +459,14 @@ class CoordinatorError(OSError):
 class CoordinatorClient:
     """Stdlib client for the ``/work/`` endpoints, with bounded retry.
 
-    Transient transport failures (connection refused/reset, timeouts,
-    5xx) are retried ``max_tries`` times with deterministic exponential
-    backoff; protocol rejections (4xx) raise immediately — retrying a
-    malformed request cannot help.  Heartbeat's 410 (lease gone) is a
-    *negative answer*, not an error, and comes back as ``ok=False``.
+    Requests are built from :data:`~repro.sim.sweep.store.STORE_ROUTES`.
+    Transient failures (connection refused/reset, timeouts, a 5xx
+    without an error kind, e.g. from a proxy) are retried ``max_tries``
+    times with deterministic exponential backoff.  An error answer with
+    a kind — a 4xx rejection or a 500 ``internal`` — raises at once: the
+    handler already ran, and retrying cannot help.  Heartbeat's 410
+    (lease gone) is a *negative answer*, not an error, and comes back as
+    ``ok=False``.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0,
@@ -473,11 +476,8 @@ class CoordinatorClient:
         self.max_tries = max(1, max_tries)
         self.backoff_s = backoff_s
 
-    def _request(self, method: str, path: str,
-                 payload: Optional[dict] = None) -> dict:
-        body = None
-        if payload is not None:
-            body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    def _call(self, name: str, **values) -> dict:
+        method, path, body = STORE_ROUTES[name].request(**values)
         last_error: Optional[Exception] = None
         for attempt in range(self.max_tries):
             if attempt:
@@ -487,18 +487,17 @@ class CoordinatorClient:
             except OSError as err:
                 last_error = err
                 continue
-            if response.status >= 500:
-                last_error = CoordinatorError(
-                    f"HTTP {response.status} from {self.base_url}{path}")
-                continue
             if response.status >= 400 and response.status != 410:
-                detail = response.body.decode("utf-8", "replace")[:200]
+                error = error_for(response, CoordinatorError)
+                if response.status >= 500 \
+                        and isinstance(error, CoordinatorError):
+                    last_error = error  # no error kind: not our handler
+                    continue
                 raise CoordinatorError(
                     f"coordinator rejected {method} {path}: "
-                    f"HTTP {response.status}: {detail}")
+                    f"HTTP {response.status}: {error}")
             try:
-                data = json.loads(response.body.decode("utf-8")) \
-                    if response.body else {}
+                data = response.json()
             except ValueError as err:
                 raise CoordinatorError(
                     f"unparseable coordinator response for {path}: {err}")
@@ -512,24 +511,22 @@ class CoordinatorClient:
 
     def seed(self, groups: Sequence[Sequence[dict]],
              ttl_s: Optional[float] = None, fresh: bool = False) -> dict:
-        return self._request("POST", "/work/seed",
-                             {"groups": [list(group) for group in groups],
-                              "ttl_s": ttl_s, "fresh": fresh})
+        return self._call("seed", groups=[list(group) for group in groups],
+                          ttl_s=ttl_s, fresh=fresh)
 
     def claim(self, worker: str) -> dict:
-        return self._request("POST", "/work/claim", {"worker": worker})
+        return self._call("claim", worker=worker)
 
     def heartbeat(self, lease_id: str, worker: str) -> dict:
-        return self._request("POST", f"/work/{lease_id}/heartbeat",
-                             {"worker": worker})
+        return self._call("heartbeat", lease=lease_id, worker=worker)
 
     def done(self, lease_id: str, worker: str,
              cells: Sequence[dict]) -> dict:
-        return self._request("POST", f"/work/{lease_id}/done",
-                             {"worker": worker, "cells": list(cells)})
+        return self._call("done", lease=lease_id, worker=worker,
+                          cells=list(cells))
 
     def status(self, since: int = 0) -> dict:
-        return self._request("GET", f"/work/status?since={int(since)}")
+        return self._call("work_status", since=int(since))
 
 
 # --------------------------------------------------------------------------

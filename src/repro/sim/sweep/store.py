@@ -36,8 +36,6 @@ schedule estimate.
 
 from __future__ import annotations
 
-import gzip
-import http.client
 import itertools
 import json
 import logging
@@ -46,12 +44,21 @@ import re
 import socket
 import threading
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
-from urllib.parse import urlsplit
 
 from ...checks.tsan import guarded_dict, new_lock, new_rlock
+from ...common.wire import (
+    BAD_INPUT,
+    HttpChannel,
+    HttpResponse,
+    Route,
+    WireHandler,
+    error_for,
+    make_server,
+    route_table,
+)
 from ..results import SimResult
 from .fingerprint import CACHE_SCHEMA_VERSION, config_from_dict, config_to_dict
 from .spec import CellSpec
@@ -72,30 +79,6 @@ _STORE_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
 #: cost-history sidecar file name (never a valid fingerprint name).
 _COSTS_NAME = "_costs.json"
-
-#: bodies at or above this size are gzip-compressed on the wire (both
-#: directions).  Cell entries are a few tens of KB of highly repetitive
-#: JSON, so this saves ~10x on the bulk transfers while leaving small
-#: control messages untouched.
-GZIP_MIN_BYTES = 4096
-
-#: connection-level failures a keep-alive client heals by reconnecting
-#: once: the server closed the idle socket (RemoteDisconnected /
-#: BadStatusLine) or the kernel reset it under us.
-_RECONNECT_ERRORS = (http.client.RemoteDisconnected,
-                     http.client.BadStatusLine,
-                     ConnectionError)
-
-
-def _speaks_gzip(server_header: str) -> bool:
-    """Whether a ``Server`` header names a gzip-capable store server.
-
-    ``repro-store/1`` predates compression; ``/2`` and later decode
-    ``Content-Encoding: gzip`` bodies and compress large responses.
-    """
-    match = re.search(r"repro-store/(\d+)", server_header)
-    return match is not None and int(match.group(1)) >= 2
-
 
 def result_to_dict(result: SimResult) -> dict:
     """Serialize a :class:`SimResult` (config tree included) to plain data."""
@@ -528,141 +511,6 @@ class DirectoryStore(ResultStore):
             return 0
 
 
-class HttpResponse(NamedTuple):
-    """One decoded HTTP exchange: status + already-gunzipped body."""
-
-    status: int
-    body: bytes
-    #: the peer's ``Server`` header (gzip-capability negotiation).
-    server: str = ""
-
-
-class HttpChannel:
-    """One persistent keep-alive connection per thread to one base URL.
-
-    The original client opened (and tore down) a fresh ``urllib`` socket
-    per request — three syscall-heavy round trips of TCP setup for every
-    few-KB entry.  This channel keeps one ``http.client.HTTPConnection``
-    alive per *thread* (connections are not thread-safe; thread-local
-    storage makes sharing one channel across a pool of workers safe) and
-    transparently reconnects once when the server closed the idle socket
-    (``RemoteDisconnected`` et al.).  A request that cannot be retried
-    safely after partial transmission is simply re-sent: every verb the
-    store and the dispatch protocol use is either idempotent (``GET``,
-    ``PUT``, heartbeats) or re-sendable by design (a replayed claim can
-    only orphan a lease, which the lease TTL reclaims).
-
-    Bodies at or above :data:`GZIP_MIN_BYTES` are gzip-compressed with
-    ``Content-Encoding: gzip``; responses are requested (and decoded)
-    the same way.  Old servers that predate compression reject a gzip
-    body as unparseable (HTTP 400) — :meth:`request` then retries once
-    uncompressed and disables compression for the channel's lifetime, so
-    new clients interoperate with old coordinators at worst one wasted
-    round trip per process.
-    """
-
-    def __init__(self, base_url: str, timeout: float = 10.0):
-        self.base_url = base_url.rstrip("/")
-        parts = urlsplit(self.base_url)
-        if parts.scheme not in ("http", "https"):
-            raise ValueError(f"unsupported store URL scheme: {base_url!r}")
-        self._https = parts.scheme == "https"
-        self._host = parts.hostname or "127.0.0.1"
-        self._port = parts.port
-        self._prefix = parts.path.rstrip("/")
-        self.timeout = timeout
-        self._local = threading.local()
-        #: flipped off permanently after a server rejects a gzip body.
-        self.send_gzip = True
-
-    # -- connection lifecycle ---------------------------------------------
-
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            factory = (http.client.HTTPSConnection if self._https
-                       else http.client.HTTPConnection)
-            conn = factory(self._host, self._port, timeout=self.timeout)
-            try:
-                # connect eagerly to disable Nagle: header and body go out
-                # in separate small writes, and on a keep-alive connection
-                # Nagle + delayed ACK turns every request into a ~40 ms
-                # stall — slower than reconnecting per request!
-                conn.connect()
-                if conn.sock is not None:
-                    conn.sock.setsockopt(socket.IPPROTO_TCP,
-                                         socket.TCP_NODELAY, 1)
-            except OSError:
-                pass  # surface the failure on the first request instead
-            self._local.conn = conn
-        return conn
-
-    def close(self) -> None:
-        """Drop this thread's connection (the next request reconnects)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            self._local.conn = None
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already dead
-                pass
-
-    # -- requests ----------------------------------------------------------
-
-    def request(self, method: str, path: str,
-                body: Optional[bytes] = None,
-                content_type: str = "application/json") -> HttpResponse:
-        """One round trip; raises ``OSError`` on any transport failure."""
-        compressed = (self.send_gzip and body is not None
-                      and len(body) >= GZIP_MIN_BYTES)
-        response = self._round_trip(method, path, body, content_type,
-                                    compressed)
-        if (compressed and response.status == 400
-                and not _speaks_gzip(response.server)):
-            # an old (pre-gzip) server parsed raw gzip bytes as JSON and
-            # rejected the request — fall back to identity for good.  A
-            # gzip-capable server advertises itself in its Server header,
-            # so its legitimate 400s (invalid entries) never trip this.
-            # repro-check: disable=lock-unguarded-shared -- one-way False latch; a racing reader merely sends one more request compressed and retries it, and the flag never flips back
-            self.send_gzip = False
-            response = self._round_trip(method, path, body, content_type,
-                                        False)
-        return response
-
-    def _round_trip(self, method: str, path: str, body: Optional[bytes],
-                    content_type: str, compressed: bool) -> HttpResponse:
-        payload = body
-        headers = {"Accept-Encoding": "gzip"}
-        if body is not None:
-            headers["Content-Type"] = content_type
-            if compressed:
-                payload = gzip.compress(body)
-                headers["Content-Encoding"] = "gzip"
-        last_error: Optional[Exception] = None
-        for attempt in range(2):
-            conn = self._connection()
-            try:
-                conn.request(method, self._prefix + path, body=payload,
-                             headers=headers)
-                response = conn.getresponse()
-                data = response.read()
-                if response.getheader("Content-Encoding") == "gzip":
-                    data = gzip.decompress(data)
-                return HttpResponse(response.status, data,
-                                    response.getheader("Server", "") or "")
-            except _RECONNECT_ERRORS as err:
-                # stale keep-alive socket (or a flaky peer): reconnect
-                # once on a fresh connection before giving up
-                self.close()
-                last_error = err
-            except (http.client.HTTPException, OSError) as err:
-                self.close()
-                raise err if isinstance(err, OSError) \
-                    else OSError(f"{type(err).__name__}: {err}")
-        raise last_error if isinstance(last_error, OSError) \
-            else OSError(f"{type(last_error).__name__}: {last_error}")
-
-
 class HttpStore(ResultStore):
     """Client half of the stdlib HTTP store pair (L2 over the network).
 
@@ -671,7 +519,8 @@ class HttpStore(ResultStore):
     ``PUT /cells/<fingerprint>`` (entry JSON body), ``GET /costs``
     (advisory cost history) — all over one per-thread keep-alive
     :class:`HttpChannel`, with large entries gzip-compressed in both
-    directions.  Every network failure follows the store contract:
+    directions.  Requests are built from :data:`STORE_ROUTES`.  Every
+    network failure follows the store contract:
     logged miss on read, logged drop on write.
     """
 
@@ -689,28 +538,30 @@ class HttpStore(ResultStore):
     def close(self) -> None:
         self.channel.close()
 
+    def _send(self, name: str, **values) -> HttpResponse:
+        return self.channel.request(*STORE_ROUTES[name].request(**values))
+
     def read_entry(self, fingerprint: str) -> Optional[dict]:
-        response = self.channel.request("GET", f"/cells/{fingerprint}")
+        response = self._send("get_cell", fingerprint=fingerprint)
         if response.status == 404:
             return None
         if response.status != 200:
             raise OSError(f"HTTP {response.status} reading {fingerprint[:12]}")
-        return json.loads(response.body.decode("utf-8"))
+        return json.loads(response.body)
 
     def write_entry(self, fingerprint: str, entry: dict) -> None:
-        body = json.dumps(entry, separators=(",", ":")).encode("utf-8")
-        response = self.channel.request("PUT", f"/cells/{fingerprint}", body)
-        if response.status not in (200, 201, 204):
-            detail = response.body.decode("utf-8", "replace")[:200]
+        response = self._send("put_cell", fingerprint=fingerprint,
+                              entry=entry)
+        if response.status != 204:
             raise OSError(f"HTTP {response.status} writing "
-                          f"{fingerprint[:12]}: {detail}")
+                          f"{fingerprint[:12]}: {error_for(response)}")
 
     def cost_history(self) -> Dict[str, dict]:
         try:
-            response = self.channel.request("GET", "/costs")
+            response = self._send("costs")
             if response.status != 200:
                 return {}
-            data = json.loads(response.body.decode("utf-8"))
+            data = response.json()
         except _STORE_ERRORS:
             return {}
         return data if isinstance(data, dict) else {}
@@ -814,193 +665,101 @@ def build_store(cache_dir: Union[str, Path, None] = None,
 # the coordinator: ``python -m repro store-serve``
 # --------------------------------------------------------------------------
 
-class _StoreHandler(BaseHTTPRequestHandler):
-    """Request handler bound to one server's :class:`DirectoryStore`.
-
-    Version 2 of the protocol adds transparent gzip (large bodies in
-    both directions, negotiated via the standard ``Content-Encoding`` /
-    ``Accept-Encoding`` headers) and, when the server carries a
-    :class:`~repro.sim.sweep.dispatch.LeaseBoard`, the work-lease
-    endpoints under ``/work/`` that turn a store server into a sweep
-    coordinator (``POST /work/seed|claim``, ``POST
-    /work/<lease>/heartbeat|done``, ``GET /work/status``).
-    """
+class _StoreHandler(WireHandler):
+    """Request handler bound to one server's :class:`DirectoryStore` (and
+    its :class:`~repro.sim.sweep.dispatch.LeaseBoard`, if any)."""
 
     server_version = "repro-store/2"
-    protocol_version = "HTTP/1.1"
-    #: response headers and bodies are separate writes too — without this
-    #: the *client* sees the same Nagle/delayed-ACK stall on reads.
-    disable_nagle_algorithm = True
-    #: upper bound on a request body (after decompression); a cell entry
-    #: is a few tens of KB, a seed request a few hundred KB at most.
-    max_body_bytes = 16 * 1024 * 1024
-
-    def _store(self) -> DirectoryStore:
-        return self.server.store  # type: ignore[attr-defined]
-
-    def _board(self):
-        return getattr(self.server, "board", None)
-
-    def _accepts_gzip(self) -> bool:
-        return "gzip" in self.headers.get("Accept-Encoding", "")
-
-    def _send_json(self, code: int, payload: bytes) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        if self._accepts_gzip() and len(payload) >= GZIP_MIN_BYTES:
-            payload = gzip.compress(payload)
-            self.send_header("Content-Encoding", "gzip")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _send_object(self, code: int, payload: dict) -> None:
-        self._send_json(code, json.dumps(payload, sort_keys=True,
-                                         separators=(",", ":"))
-                        .encode("utf-8"))
-
-    def _send_empty(self, code: int, message: str = "") -> None:
-        body = message.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "text/plain")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self) -> Optional[bytes]:
-        """The request body, gunzipped if needed; ``None`` = error sent."""
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
-            self._send_empty(411, "length required")
-            return None
-        if not 0 < length <= self.max_body_bytes:
-            self._send_empty(413, "body too large")
-            return None
-        body = self.rfile.read(length)
-        if self.headers.get("Content-Encoding") == "gzip":
-            try:
-                body = gzip.decompress(body)
-            except (OSError, EOFError):
-                self._send_empty(400, "bad gzip body")
-                return None
-            if len(body) > self.max_body_bytes:
-                self._send_empty(413, "body too large")
-                return None
-        return body
-
-    def _fingerprint_of(self) -> Optional[str]:
-        parts = self.path.strip("/").split("/")
-        if len(parts) == 2 and parts[0] == "cells" \
-                and _FINGERPRINT_RE.match(parts[1]):
-            return parts[1]
-        return None
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        store = self._store()
-        path, _, query = self.path.partition("?")
-        path = path.rstrip("/")
-        # repro-check: disable=wire-endpoint-unused -- health/identity endpoint for humans, probes and load balancers; no in-repo client calls it on purpose
-        if path == "":
-            board = self._board()
-            status = {"store": "repro", "schema": CACHE_SCHEMA_VERSION,
-                      "entries": len(store),
-                      "work": board is not None}
-            self._send_json(200, json.dumps(status).encode("utf-8"))
-            return
-        if path == "/costs":
-            payload = json.dumps(store.cost_history(), sort_keys=True)
-            self._send_json(200, payload.encode("utf-8"))
-            return
-        if path == "/work/status":
-            board = self._board()
-            if board is None:
-                self._send_empty(404, "no work coordination on this server")
-                return
-            since = 0
-            match = re.search(r"(?:^|&)since=(\d+)", query)
-            if match:
-                since = int(match.group(1))
-            self._send_object(200, board.status(since=since))
-            return
-        fingerprint = self._fingerprint_of()
-        if fingerprint is None:
-            self._send_empty(404, "unknown path")
-            return
-        try:
-            with open(store.path_for(fingerprint), "rb") as handle:
-                payload = handle.read()
-        except FileNotFoundError:
-            self._send_empty(404, "no such cell")
-            return
-        except OSError:
-            self._send_empty(500, "unreadable entry")
-            return
-        self._send_json(200, payload)
+        self.dispatch()
 
     def do_PUT(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        fingerprint = self._fingerprint_of()
-        if fingerprint is None:
-            self._send_empty(404, "unknown path")
-            return
-        body = self._read_body()
-        if body is None:
-            return
-        store = self._store()
-        try:
-            entry = json.loads(body.decode("utf-8"))
-            validate_entry(fingerprint, entry)
-            store.write_entry(fingerprint, entry)
-            store.record_cost(entry)
-        except _STORE_ERRORS as err:
-            self._send_empty(400, f"rejected entry: {err}")
-            return
-        self._send_empty(204)
+        self.dispatch()
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        board = self._board()
-        parts = self.path.strip("/").split("/")
-        if board is None or not parts or parts[0] != "work":
-            self._send_empty(404, "unknown path")
-            return
-        body = self._read_body()
-        if body is None:
-            return
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-            if not isinstance(payload, dict):
-                raise ValueError("request body is not an object")
-        except ValueError as err:
-            self._send_empty(400, f"bad request body: {err}")
-            return
-        try:
-            if parts[1:] == ["seed"]:
-                self._send_object(200, board.seed(
-                    payload.get("groups", []),
-                    ttl_s=payload.get("ttl_s"),
-                    fresh=bool(payload.get("fresh", False)),
-                ))
-            elif parts[1:] == ["claim"]:
-                self._send_object(200, board.claim(
-                    str(payload.get("worker", "anonymous"))))
-            elif len(parts) == 3 and parts[2] == "heartbeat":
-                renewed = board.heartbeat(parts[1],
-                                          str(payload.get("worker", "")))
-                self._send_object(200 if renewed.get("ok") else 410, renewed)
-            elif len(parts) == 3 and parts[2] == "done":
-                retired = board.done(parts[1],
-                                     str(payload.get("worker", "")),
-                                     payload.get("cells", []))
-                self._send_object(200, retired)
-            else:
-                self._send_empty(404, "unknown work endpoint")
-        except (ValueError, KeyError, TypeError) as err:
-            self._send_empty(400, f"rejected work request: "
-                                  f"{type(err).__name__}: {err}")
+        self.dispatch()
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        logger.debug("store-serve %s %s", self.address_string(),
-                     format % args)
+
+def _checked(fingerprint: str) -> str:
+    """``fingerprint`` when it names a cell (and so no other file)."""
+    if not _FINGERPRINT_RE.fullmatch(fingerprint):
+        raise ValueError(f"{fingerprint!r} is not a cell fingerprint")
+    return fingerprint
+
+
+# ``/`` and ``/costs`` answer pre-encoded bytes so their JSON layout
+# (default separators) stays the coordinator protocol's, byte for byte.
+
+def _store_status(server) -> bytes:
+    status = {"store": "repro", "schema": CACHE_SCHEMA_VERSION,
+              "entries": len(server.store),
+              "work": server.board is not None}
+    return json.dumps(status).encode("utf-8")
+
+
+def _costs(server) -> bytes:
+    return json.dumps(server.store.cost_history(),
+                      sort_keys=True).encode("utf-8")
+
+
+def _get_cell(server, fingerprint) -> bytes:
+    """The stored file's bytes, exactly as written."""
+    with open(server.store.path_for(_checked(fingerprint)), "rb") as handle:
+        return handle.read()
+
+
+def _put_cell(server, fingerprint, entry) -> None:
+    validate_entry(_checked(fingerprint), entry)
+    server.store.write_entry(fingerprint, entry)
+    server.store.record_cost(entry)
+
+
+def _seed(server, groups=(), ttl_s=None, fresh=False) -> dict:
+    return server.board.seed(groups, ttl_s=ttl_s, fresh=bool(fresh))
+
+
+def _claim(server, worker="anonymous") -> dict:
+    return server.board.claim(str(worker))
+
+
+def _heartbeat(server, lease, worker="") -> Tuple[int, dict]:
+    renewed = server.board.heartbeat(lease, str(worker))
+    return (200 if renewed.get("ok") else 410), renewed
+
+
+def _done(server, lease, worker="", cells=()) -> dict:
+    return server.board.done(lease, str(worker), cells)
+
+
+def _work_status(server, since="0") -> dict:
+    return server.board.status(since=int(since))
+
+
+#: a malformed work request: what the lease board raises on bad input.
+_WORK_ERRORS = {KeyError: "bad-request", **BAD_INPUT}
+
+#: the coordinator protocol; the ``/work/`` routes exist only on a
+#: server that carries a lease board.
+STORE_ROUTES = route_table(
+    Route("store_status", "GET", "/", _store_status, health=True),
+    Route("costs", "GET", "/costs", _costs),
+    Route("get_cell", "GET", "/cells/{fingerprint}", _get_cell,
+          errors={FileNotFoundError: "not-found", ValueError: "not-found"}),
+    Route("put_cell", "PUT", "/cells/{fingerprint}", _put_cell,
+          body="entry", status=204,
+          errors=dict.fromkeys(_STORE_ERRORS, "bad-request")),
+    Route("seed", "POST", "/work/seed", _seed,
+          ("groups", "ttl_s", "fresh"), errors=_WORK_ERRORS),
+    Route("claim", "POST", "/work/claim", _claim, ("worker",),
+          errors=_WORK_ERRORS),
+    Route("heartbeat", "POST", "/work/{lease}/heartbeat", _heartbeat,
+          ("worker",), errors=_WORK_ERRORS),
+    Route("done", "POST", "/work/{lease}/done", _done, ("worker", "cells"),
+          errors=_WORK_ERRORS),
+    Route("work_status", "GET", "/work/status", _work_status, ("since",),
+          errors=_WORK_ERRORS),
+)
 
 
 def make_store_server(root: Union[str, Path],
@@ -1027,10 +786,9 @@ def make_store_server(root: Union[str, Path],
     """
     from .dispatch import LeaseBoard  # circular at module level
 
-    server = ThreadingHTTPServer((host, port), _StoreHandler)
-    server.daemon_threads = True
     store = DirectoryStore(root, label="served", cost_flush_every=8)
-    server.store = store  # type: ignore[attr-defined]
-    server.board = (LeaseBoard(store, lease_ttl_s=lease_ttl_s)  # type: ignore[attr-defined]
-                    if work else None)
-    return server
+    routes = {name: route for name, route in STORE_ROUTES.items()
+              if work or not route.path.startswith("/work/")}
+    return make_server(
+        _StoreHandler, routes, host, port, store=store,
+        board=LeaseBoard(store, lease_ttl_s=lease_ttl_s) if work else None)

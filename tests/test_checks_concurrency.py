@@ -1,14 +1,17 @@
-"""Injection tests for the concurrency, ordering and wire-protocol
-passes, plus the ``--baseline`` record/diff machinery.
+"""Injection tests for the concurrency and ordering passes and the
+route table's self-consistency check, plus the ``--baseline``
+record/diff machinery.
 
-The acceptance-criteria proof that the new passes bite on the *real*
-sweep engine rather than only on fixtures: mutate ``store.py`` /
-``dispatch.py`` the way a careless refactor would — delete a lock
-guard, add an opposite-order acquisition, drop a handler field — and
-assert the checker reports exactly the injected defect at its exact
-file and line.
+The proof that the checks bite on the *real* sweep engine rather than
+only on fixtures: mutate ``store.py`` / ``dispatch.py`` the way a
+careless refactor would — delete a lock guard, add an opposite-order
+acquisition, drop a handler field — and assert the checker reports
+exactly the injected defect (at its exact file and line, for the
+passes).
 """
 
+import dataclasses
+import inspect
 from pathlib import Path
 
 from repro.checks import (
@@ -18,6 +21,9 @@ from repro.checks import (
     record_baseline,
 )
 from repro.checks.findings import Finding
+from repro.common.wire import check_routes
+from repro.sim.sweep import CoordinatorClient, HttpStore
+from repro.sim.sweep.store import STORE_ROUTES
 
 REPO = Path(__file__).resolve().parents[1]
 SWEEP = REPO / "src" / "repro" / "sim" / "sweep"
@@ -135,26 +141,25 @@ class TestLockOrderInjection:
 
 
 class TestWireFieldInjection:
-    """Drop the ``fresh`` read from the ``/work/seed`` handler: the wire
-    pass must point at the *client's* ``"fresh"`` payload key — the
-    exact line in dispatch.py that now sends a silently ignored field."""
+    """Drop ``fresh`` from the ``/work/seed`` handler's parameters: the
+    route table's self-consistency check must name the declared field
+    the handler no longer takes — and nothing else."""
 
-    def test_dropped_handler_field_caught(self, tmp_path):
-        source = STORE_PY.read_text()
-        anchor = ('                    fresh=bool('
-                  'payload.get("fresh", False)),\n')
-        assert anchor in source, "seed handler fresh read moved"
-        store = tmp_path / "store.py"
-        store.write_text(source.replace(anchor, ""))
-        dispatch_source = DISPATCH_PY.read_text()
-        dispatch = tmp_path / "dispatch.py"
-        dispatch.write_text(dispatch_source)
-        findings = _check_pair(store, dispatch)
-        assert {f.rule for f in findings} == {"wire-field-unread"}
-        expected = {("dispatch.py",
-                     _line_of(dispatch_source, '"fresh": fresh'))}
-        assert _located(findings, "wire-field-unread") == expected
-        assert all("'fresh'" in f.message for f in findings)
+    def test_dropped_handler_field_caught(self):
+        seed = STORE_ROUTES["seed"]
+        assert "fresh" in inspect.signature(seed.handler).parameters
+
+        def seed_without_fresh(server, groups=(), ttl_s=None):
+            return seed.handler(server, groups, ttl_s)
+
+        routes = {**STORE_ROUTES,
+                  "seed": dataclasses.replace(seed,
+                                              handler=seed_without_fresh)}
+        problems = check_routes(routes, [HttpStore, CoordinatorClient])
+        assert len(problems) == 1, problems
+        assert "'fresh'" in problems[0] and problems[0].startswith("seed:")
+        assert check_routes(STORE_ROUTES, [HttpStore,
+                                           CoordinatorClient]) == []
 
 
 class TestBaseline:

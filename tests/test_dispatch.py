@@ -21,12 +21,12 @@ from pathlib import Path
 import pytest
 
 from repro.common import KB, SchemeKind
+from repro.common.wire import GZIP_MIN_BYTES, HttpChannel
 from repro.sim.sweep import (
     CellSpec,
     CoordinatorClient,
     CoordinatorError,
     CostModel,
-    HttpChannel,
     HttpStore,
     LeaseBoard,
     WorkQueue,
@@ -38,7 +38,7 @@ from repro.sim.sweep import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.sim.sweep.store import GZIP_MIN_BYTES, entry_for, validate_entry
+from repro.sim.sweep.store import _StoreHandler, entry_for, validate_entry
 
 TINY = dict(instructions=400, warmup=300)
 
@@ -405,42 +405,27 @@ class TestHttpChannel:
         assert response.status == 200  # tiny body, identity both ways
         assert json.loads(response.body)["status"] == "empty"
 
-    def test_old_server_gzip_fallback(self):
-        channel = HttpChannel("http://127.0.0.1:1")
-        sent = []
+    def test_new_server_400_keeps_gzip_enabled(self, serve, monkeypatch):
+        """A large PUT the store rejects is answered once (400), and the
+        channel keeps compressing: no request is ever resent unzipped."""
+        url, _server = serve()
+        encodings = []
+        dispatch = _StoreHandler.dispatch
 
-        def fake_round_trip(method, path, body, content_type, compressed):
-            sent.append(compressed)
-            if compressed:
-                # a v1 server tried to parse raw gzip bytes as JSON
-                from repro.sim.sweep.store import HttpResponse
-                return HttpResponse(400, b"rejected entry: bad json",
-                                    "repro-store/1")
-            from repro.sim.sweep.store import HttpResponse
-            return HttpResponse(204, b"", "repro-store/1")
+        def counted(handler):
+            encodings.append(handler.headers.get("Content-Encoding"))
+            dispatch(handler)
 
-        channel._round_trip = fake_round_trip
-        big = b"x" * (2 * GZIP_MIN_BYTES)
-        assert channel.request("PUT", "/cells/feed", big).status == 204
-        assert sent == [True, False]  # one wasted round trip, then identity
-        assert channel.request("PUT", "/cells/feed", big).status == 204
-        assert sent[-1] is False  # compression stays off for the channel
-
-    def test_new_server_400_keeps_gzip_enabled(self):
-        channel = HttpChannel("http://127.0.0.1:1")
-        sent = []
-
-        def fake_round_trip(method, path, body, content_type, compressed):
-            sent.append(compressed)
-            from repro.sim.sweep.store import HttpResponse
-            return HttpResponse(400, b"rejected entry: schema",
-                                "repro-store/2")
-
-        channel._round_trip = fake_round_trip
-        big = b"x" * (2 * GZIP_MIN_BYTES)
-        # a legitimate 400 from a gzip-capable server is NOT renegotiated
-        assert channel.request("PUT", "/cells/feed", big).status == 400
-        assert sent == [True] and channel.send_gzip
+        monkeypatch.setattr(_StoreHandler, "dispatch", counted)
+        channel = HttpChannel(url)
+        big = json.dumps({"padding": "x" * (2 * GZIP_MIN_BYTES)}).encode()
+        response = channel.request("PUT", "/cells/" + "f" * 64, big)
+        assert response.status == 400
+        assert json.loads(response.body)["kind"] == "bad-request"
+        assert encodings == ["gzip"]
+        assert channel.request("PUT", "/cells/" + "f" * 64,
+                               big).status == 400
+        assert encodings == ["gzip", "gzip"]
 
 
 # --------------------------------------------------------------------------

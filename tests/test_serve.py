@@ -267,9 +267,9 @@ class TestServiceHttp:
     def test_create_rejects_unknown_fields(self, service):
         _forest, client = service
         with pytest.raises(ValueError):
-            client._request("POST", "/tenants",
-                            {"name": "x", "data_bytes": 4096,
-                             "mystery": 1})
+            client._call("create_tenant",
+                         config={"name": "x", "data_bytes": 4096,
+                                 "mystery": 1})
 
 
 class TestSanitizerClean:
