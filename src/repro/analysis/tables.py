@@ -22,13 +22,20 @@ def format_table(
     value_format: str = "{:8.3f}",
     row_header: str = "benchmark",
 ) -> str:
-    """Render a simple fixed-width table."""
+    """Render a simple fixed-width table.
+
+    Columns are 12 characters wide, or one more than their label, so a
+    long label never runs into the next column.
+    """
+    widths = [max(12, len(label) + 1) for label in column_labels]
     lines = [title, ""]
-    header = f"{row_header:10s}" + "".join(f"{label:>12s}" for label in column_labels)
+    header = f"{row_header:10s}" + "".join(
+        f"{label:>{width}s}" for label, width in zip(column_labels, widths))
     lines.append(header)
     lines.append("-" * len(header))
     for name, values in rows:
-        cells = "".join(f"{value_format.format(v):>12s}" for v in values)
+        cells = "".join(f"{value_format.format(v):>{width}s}"
+                        for v, width in zip(values, widths))
         lines.append(f"{name:10s}{cells}")
     return "\n".join(lines)
 

@@ -151,43 +151,9 @@ class CacheSim:
             return True
         return False
 
-    def warm_access_batched(self, promoted, write_blocks=()) -> None:
-        """Apply an in-order run of *guaranteed* :meth:`warm_access`
-        hits in one call (the batched warm-path kernel).
-
-        A run of sequential hit promotions collapses exactly: the
-        touched blocks end up ordered by last access (most recent
-        first), followed by the untouched ways in their original
-        relative order.  ``promoted`` is that order, already deduped
-        (:func:`repro.kernels.warm.unique_recent`); ``write_blocks`` are
-        the run's written blocks.  FIFO/random policies do not promote
-        on hit, so only the dirty bits change there — same as
-        :meth:`warm_access`.
-        """
-        if self._lru and promoted:
-            shift = self._offset_bits
-            n_sets = self._n_sets
-            by_set: dict = {}
-            for block in promoted:  # most-recent access first
-                index = (block >> shift) % n_sets
-                bucket = by_set.get(index)
-                if bucket is None:
-                    by_set[index] = [block]
-                else:
-                    bucket.append(block)
-            sets = self._sets
-            for index, run in by_set.items():
-                ways = sets[index]
-                if len(ways) > len(run):
-                    run_set = set(run)
-                    run.extend(w for w in ways if w not in run_set)
-                ways[:] = run
-        if write_blocks:
-            self._dirty.update(write_blocks)
-
     def resident_blocks(self) -> set:
         """Every block address currently resident, as a set (the
-        batched kernels classify whole columns against it)."""
+        measured prepass classifies whole columns against it)."""
         resident: set = set()
         for ways in self._sets:
             resident.update(ways)
@@ -233,7 +199,7 @@ class CacheSim:
     def victim_block(self, block: int) -> Optional[int]:
         """The block a fill of (absent) ``block`` would evict right now.
 
-        Pure peek for the batched kernels' poison tracking; exact for
+        Pure peek for the measured prepass's residency tracking; exact for
         the LRU/FIFO tail-eviction policies (the hierarchy never builds
         ``random`` caches).  ``None`` when no eviction would occur.
         """

@@ -29,7 +29,6 @@ from ..hashengine.engine import HashEngineTiming
 from ..hashtree.layout import TreeLayout
 from ..schemes import build_scheme
 from ..common.packed import WARM_IFETCH, WARM_LOAD, WARM_STORE_FULL
-from ..kernels import warm as warm_kernel
 from .cache import CacheSim
 from .tlb import TLBSim
 
@@ -191,44 +190,6 @@ class MemoryHierarchy:
         finally:
             self.set_warm_mode(False)
 
-    def _warm_interp_chunk(self, codes, values) -> int:
-        """Interpret one packed warm chunk row by row — the body of
-        :meth:`warm` over columns, through the counter-free warm paths.
-        Returns the L1 miss count (the adaptive gate in :meth:`warm_vec`
-        uses it as the next chunk's hit-fraction estimate)."""
-        l1i_warm = self.l1i.warm_access
-        l1d_warm = self.l1d.warm_access
-        itlb_warm = self.itlb.warm_access
-        dtlb_warm = self.dtlb.warm_access
-        data_address = self.scheme.data_address
-        warm_l1_miss = self._warm_l1_miss
-        valid_bits = self.config.write_allocate_valid_bits
-        l1i, l1d = self.l1i, self.l1d
-        misses = 0
-        for code, value in zip(codes, values):
-            if code == WARM_IFETCH:
-                itlb_warm(value)
-                physical = data_address(value)
-                if not l1i_warm(physical, False):
-                    misses += 1
-                    warm_l1_miss(physical, False, "instr", l1i)
-            elif code == WARM_LOAD:
-                dtlb_warm(value)
-                physical = data_address(value)
-                if not l1d_warm(physical, False):
-                    misses += 1
-                    warm_l1_miss(physical, False, "data", l1d)
-            else:  # WARM_STORE or WARM_STORE_FULL
-                dtlb_warm(value)
-                physical = data_address(value)
-                if not l1d_warm(physical, True):
-                    misses += 1
-                    if code == WARM_STORE_FULL and valid_bits:
-                        self._warm_full_block_store_miss(physical)
-                    else:
-                        warm_l1_miss(physical, True, "data", l1d)
-        return misses
-
     def warm_vec(self, chunks) -> None:
         """Replay packed warm-up chunks with timing disabled; the fast
         twin of :meth:`warm`.
@@ -240,203 +201,44 @@ class MemoryHierarchy:
         event* — the generator already performed the one-probe-per-I-line
         dedup that :meth:`warm` does inline — so no :class:`Instruction`
         object is allocated and the end state is bit-identical to
-        :meth:`warm` over the equivalent object stream.
-
-        On hit-dominated chunks the hit rows are resolved in
-        dependency-free batches (:mod:`repro.kernels.warm`) instead of
-        one interpreted dispatch per row, with misses and evictions
-        dropping to the exact per-row machinery (:meth:`_warm_l1_miss`
-        and friends; batched LRU application is exact — see
-        :meth:`CacheSim.warm_access_batched
-        <repro.cache.cache.CacheSim.warm_access_batched>`).  The gate is
-        adaptive: each chunk's observed hit fraction decides the *next*
-        chunk's path, and miss-heavy chunks run through the row
-        interpreter :meth:`_warm_interp_chunk` — its row body is only ~3
-        bound-method calls, so batching can only pay where long
-        guaranteed-hit runs dominate.
+        :meth:`warm` over the equivalent object stream.  Every row is
+        interpreted through the counter-free warm paths
+        (:meth:`CacheSim.warm_access <repro.cache.cache.CacheSim.warm_access>`,
+        :meth:`_warm_l1_miss` and friends); the row body is only a few
+        bound-method calls.
         """
+        l1i_warm = self.l1i.warm_access
+        l1d_warm = self.l1d.warm_access
+        itlb_warm = self.itlb.warm_access
+        dtlb_warm = self.dtlb.warm_access
+        data_address = self.scheme.data_address
+        warm_l1_miss = self._warm_l1_miss
+        valid_bits = self.config.write_allocate_valid_bits
+        l1i, l1d = self.l1i, self.l1d
         self.set_warm_mode(True)
-        data_offset = self.scheme.data_address(0)
-        page_bits = self.itlb._page_bits
-        i_offset = self.l1i._offset_bits
-        d_offset = self.l1d._offset_bits
-        threshold = warm_kernel.MIN_FAST_FRACTION
         try:
-            fast_fraction = 0.0  # caches start cold: interpret first
             for codes, values in chunks:
-                n = len(codes)
-                if not n:
-                    continue
-                if fast_fraction < threshold:
-                    misses = self._warm_interp_chunk(codes, values)
-                    fast_fraction = 1.0 - misses / n
-                else:
-                    plan = warm_kernel.build_plan(
-                        codes, values, data_offset, page_bits,
-                        i_offset, d_offset)
-                    fast_fraction = self._warm_vec_chunk(plan)
+                for code, value in zip(codes, values):
+                    if code == WARM_IFETCH:
+                        itlb_warm(value)
+                        physical = data_address(value)
+                        if not l1i_warm(physical, False):
+                            warm_l1_miss(physical, False, "instr", l1i)
+                    elif code == WARM_LOAD:
+                        dtlb_warm(value)
+                        physical = data_address(value)
+                        if not l1d_warm(physical, False):
+                            warm_l1_miss(physical, False, "data", l1d)
+                    else:  # WARM_STORE or WARM_STORE_FULL
+                        dtlb_warm(value)
+                        physical = data_address(value)
+                        if not l1d_warm(physical, True):
+                            if code == WARM_STORE_FULL and valid_bits:
+                                self._warm_full_block_store_miss(physical)
+                            else:
+                                warm_l1_miss(physical, True, "data", l1d)
         finally:
             self.set_warm_mode(False)
-
-    def _warm_vec_chunk(self, plan) -> float:
-        """Drain one planned chunk: batch the hit spans, interpret the
-        rest.  Returns the chunk's hit-candidate fraction (the adaptive
-        gate's estimate for the next chunk).  Chunks whose fraction
-        turns out too low for the batching machinery to pay off are
-        interpreted outright."""
-        n = plan.n
-        live = warm_kernel.Residency(
-            self.l1i.resident_blocks(), self.l1d.resident_blocks(),
-            self.itlb.resident_pages(), self.dtlb.resident_pages())
-        mask = warm_kernel.fast_mask(plan, live)
-        fast_fraction = sum(mask) / n
-        if fast_fraction < warm_kernel.MIN_FAST_FRACTION:
-            self._warm_interp_chunk(plan.codes, plan.values)
-            return fast_fraction
-        poison = warm_kernel.Poison()
-        blk_l, page_l, is_if_l = plan.blk, plan.page, plan.is_if
-        cur = 0
-        for index in [row for row, hit in enumerate(mask) if not hit]:
-            # Rows whose block/page was filled after the mask was built
-            # are guaranteed hits now — keep them inside the span.
-            if is_if_l[index]:
-                if (blk_l[index] in live.l1i
-                        and page_l[index] in live.itlb):
-                    continue
-            elif (blk_l[index] in live.l1d
-                    and page_l[index] in live.dtlb):
-                continue
-            if cur < index:
-                self._warm_vec_hits(plan, cur, index, poison, live)
-            self._warm_vec_row(plan, index, poison, live)
-            cur = index + 1
-        if cur < n:
-            self._warm_vec_hits(plan, cur, n, poison, live)
-        return fast_fraction
-
-    def _warm_vec_hits(self, plan, start: int, end: int,
-                       poison, live) -> None:
-        """Apply a guaranteed-hit run.  Long runs are batched (screened
-        in one C-speed ``isdisjoint`` pass against the poison sets);
-        short runs are cheaper row by row (the row interpreter is exact
-        and keeps the residency/poison bookkeeping, so later batches
-        stay screened)."""
-        if end - start < warm_kernel.MIN_BATCH_ROWS:
-            row_interp = self._warm_vec_row
-            for row in range(start, end):
-                row_interp(plan, row, poison, live)
-            return
-        if poison.empty():
-            self._warm_vec_batch(plan, start, end)
-            return
-        blocks = plan.blk[start:end]
-        pages = plan.page[start:end]
-        if (poison.l1i.isdisjoint(blocks) and poison.l1d.isdisjoint(blocks)
-                and poison.itlb.isdisjoint(pages)
-                and poison.dtlb.isdisjoint(pages)):
-            self._warm_vec_batch(plan, start, end)
-        else:
-            self._warm_vec_span(plan, start, end, poison, live)
-
-    def _warm_vec_span(self, plan, start: int, end: int,
-                       poison, live) -> None:
-        """Apply rows ``[start, end)`` — all hit candidates, at least
-        one of them poisoned — screening each row individually."""
-        blk_l, page_l, is_if_l = plan.blk, plan.page, plan.is_if
-        run = start
-        for row in range(start, end):
-            if is_if_l[row]:
-                stale = (blk_l[row] in poison.l1i
-                         or page_l[row] in poison.itlb)
-            else:
-                stale = (blk_l[row] in poison.l1d
-                         or page_l[row] in poison.dtlb)
-            if stale:
-                if run < row:
-                    self._warm_vec_batch(plan, run, row)
-                self._warm_vec_row(plan, row, poison, live)
-                run = row + 1
-        if run < end:
-            self._warm_vec_batch(plan, run, end)
-
-    def _warm_vec_batch(self, plan, start: int, end: int) -> None:
-        """Apply a run of guaranteed hits.  Instruction and data rows
-        touch disjoint structures (L1-I/I-TLB vs L1-D/D-TLB), so
-        applying each structure's sub-sequence in order is exact; LRU
-        promotion only needs each structure's *unique* addresses in
-        most-recent-first order, so the dedup runs at column speed."""
-        unique_recent = warm_kernel.unique_recent
-        if_blocks = unique_recent(plan.blk, plan.is_if, start, end)
-        if if_blocks:
-            self.l1i.warm_access_batched(if_blocks)
-            self.itlb.warm_access_batched(
-                unique_recent(plan.page, plan.is_if, start, end))
-        data_blocks = unique_recent(plan.blk, plan.not_if, start, end)
-        if data_blocks:
-            self.l1d.warm_access_batched(
-                data_blocks,
-                warm_kernel.unique_vals(plan.blk, plan.is_wr, start, end))
-            self.dtlb.warm_access_batched(
-                unique_recent(plan.page, plan.not_if, start, end))
-
-    def _warm_vec_row(self, plan, row: int, poison, live) -> None:
-        """Interpret one row exactly like :meth:`_warm_interp_chunk`,
-        keeping the residency sets exact (fills add, evictions — peeked
-        before they happen — move the victim into the poison sets)."""
-        code = plan.codes[row]
-        value = plan.values[row]
-        block = plan.blk[row]
-        page = plan.page[row]
-        if code == WARM_IFETCH:
-            evicted = self.itlb.victim_page(page)
-            self.itlb.warm_access(value)
-            if evicted is not None:
-                live.itlb.discard(evicted)
-                poison.itlb.add(evicted)
-            live.itlb.add(page)
-            poison.itlb.discard(page)
-            physical = value + plan.data_offset
-            if not self.l1i.warm_access(physical, False):
-                victim = self.l1i.victim_block(block)
-                if victim is not None:
-                    live.l1i.discard(victim)
-                    poison.l1i.add(victim)
-                self._warm_l1_miss(physical, False, "instr", self.l1i)
-            live.l1i.add(block)
-            poison.l1i.discard(block)
-            return
-        evicted = self.dtlb.victim_page(page)
-        self.dtlb.warm_access(value)
-        if evicted is not None:
-            live.dtlb.discard(evicted)
-            poison.dtlb.add(evicted)
-        live.dtlb.add(page)
-        poison.dtlb.discard(page)
-        physical = value + plan.data_offset
-        if code == WARM_LOAD:
-            if not self.l1d.warm_access(physical, False):
-                victim = self.l1d.victim_block(block)
-                if victim is not None:
-                    live.l1d.discard(victim)
-                    poison.l1d.add(victim)
-                self._warm_l1_miss(physical, False, "data", self.l1d)
-            live.l1d.add(block)
-            poison.l1d.discard(block)
-            return
-        if not self.l1d.warm_access(physical, True):
-            if (code == WARM_STORE_FULL
-                    and self.config.write_allocate_valid_bits):
-                # Allocates straight into the L2 — L1-D residency is
-                # untouched, so no bookkeeping for this row.
-                self._warm_full_block_store_miss(physical)
-                return
-            victim = self.l1d.victim_block(block)
-            if victim is not None:
-                live.l1d.discard(victim)
-                poison.l1d.add(victim)
-            self._warm_l1_miss(physical, True, "data", self.l1d)
-        live.l1d.add(block)
-        poison.l1d.discard(block)
 
     def _warm_l1_miss(self, physical: int, write: bool, kind: str,
                       l1: CacheSim) -> None:

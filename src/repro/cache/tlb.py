@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..common.config import TLBConfig
 from ..common.stats import StatGroup
@@ -54,48 +54,6 @@ class TLBSim:
         if len(ways) >= self._associativity:
             ways.pop()
         ways.insert(0, page)
-
-    def warm_access_batched(self, promoted) -> None:
-        """Batch LRU promotion of a run of *guaranteed*
-        :meth:`warm_access` hits.  ``promoted`` is the run's unique pages
-        ordered most recently accessed first
-        (:func:`repro.kernels.warm.unique_recent`); they end up ahead of
-        the untouched entries, which keep their original relative
-        order."""
-        if not promoted:
-            return
-        n_sets = self._n_sets
-        by_set: dict = {}
-        for page in promoted:  # most-recent access first
-            index = page % n_sets
-            bucket = by_set.get(index)
-            if bucket is None:
-                by_set[index] = [page]
-            else:
-                bucket.append(page)
-        sets = self._sets
-        for index, run in by_set.items():
-            ways = sets[index]
-            if len(ways) > len(run):
-                run_set = set(run)
-                run.extend(w for w in ways if w not in run_set)
-            ways[:] = run
-
-    def victim_page(self, page: int) -> Optional[int]:
-        """The page a miss on ``page`` would evict right now (pure peek
-        for the batched kernels' poison tracking; ``None`` if ``page``
-        is resident or the set has a free way)."""
-        ways = self._sets[page % self._n_sets]
-        if page not in ways and len(ways) >= self._associativity:
-            return ways[-1]
-        return None
-
-    def resident_pages(self) -> set:
-        """Every page currently mapped, as a set (for batch classification)."""
-        resident: set = set()
-        for ways in self._sets:
-            resident.update(ways)
-        return resident
 
     def divert_counters(self, divert: bool) -> None:
         """Send counter updates to a scratch dict (for warm-up phases whose

@@ -53,9 +53,9 @@ class LossyCore:
                 self._retired.append(instruction)
 
 
-class SkewedBatchedCache:
-    """``access_batched`` forgets the dirty-bit update its per-row twin
-    performs (the ``_batched`` suffix rule)."""
+class SkewedVecCache:
+    """``access_vec`` forgets the dirty-bit update its per-row twin
+    performs (the ``_vec`` suffix rule)."""
 
     def __init__(self):
         self._ways = []
@@ -69,7 +69,7 @@ class SkewedBatchedCache:
             self._dirty.add(block)
         self._counters["accesses"] = self._counters.get("accesses", 0) + 1
 
-    def access_batched(self, blocks, writes):  # expect: sym-counter-asymmetry
+    def access_vec(self, blocks, writes):  # expect: sym-counter-asymmetry
         for block in blocks:
             self._ways.append(block)
         count = self._counters.get("accesses", 0)

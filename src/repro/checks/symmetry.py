@@ -8,16 +8,16 @@ transitions* as their counted counterparts — otherwise a warmed cache is
 not the cache the measured run would have produced, and the fast warm
 path and the object warm path silently diverge.
 
-The same discipline covers the fast path's batched twins: ``run_vec``
-must drive the hierarchy and core state exactly like ``run``,
-``warm_vec`` like ``warm``, ``access_batched`` like ``access``, and
-``take_packed`` must advance the generator exactly like ``take`` —
+The same discipline covers the fast path's twins: ``run_vec`` must
+drive the hierarchy and core state exactly like ``run``, ``warm_vec``
+like ``warm``, and ``take_packed`` must advance the generator exactly
+like ``take`` —
 anything less and the fast path stops being bit-identical to the object
 oracle.
 
 The pass pairs methods by naming convention (``warm_X`` ↔ ``X``,
-``_warm_X`` ↔ ``_X``, ``X_packed`` ↔ ``X``, ``X_vec`` ↔ ``X`` and
-``X_batched`` ↔ ``X``; a method without a twin is skipped), computes
+``_warm_X`` ↔ ``_X``, ``X_packed`` ↔ ``X`` and ``X_vec`` ↔ ``X``; a
+method without a twin is skipped), computes
 each side's mutated-attribute set over its same-class call closure,
 subtracts the declared counter attributes, and flags any remaining
 difference.
@@ -39,8 +39,8 @@ def _twin_names(name: str) -> List[str]:
     """Candidate counted-twin names for ``name``, most specific first.
 
     ``warm_access`` pairs with ``access``; ``_warm_l1_miss`` with
-    ``_l1_miss``; ``take_packed`` with ``take``; the batched twins
-    ``run_vec``/``access_batched`` with ``run``/``access``.
+    ``_l1_miss``; ``take_packed`` with ``take``; ``run_vec`` with
+    ``run``.
     ``warm_vec`` yields both ``vec`` (via the prefix rule) and ``warm``
     (via the suffix rule) — whichever exists on the class wins.
     """
@@ -51,9 +51,8 @@ def _twin_names(name: str) -> List[str]:
         candidates.append("_" + name[len("_warm_"):])
     if name.endswith("_packed") and len(name) > len("_packed"):
         candidates.append(name[:-len("_packed")])
-    for suffix in ("_vec", "_batched"):
-        if name.endswith(suffix) and len(name) > len(suffix):
-            candidates.append(name[:-len(suffix)])
+    if name.endswith("_vec") and len(name) > len("_vec"):
+        candidates.append(name[:-len("_vec")])
     return [c for c in candidates if c and c != name]
 
 

@@ -199,20 +199,16 @@ class OutOfOrderCore:
         running the equivalent object stream — only the wall-clock
         differs.
 
-        Each chunk is classified by a
+        Every chunk is classified by a
         :class:`~repro.kernels.measure.MeasurePrepass`: timing-free rows
         (the overwhelming majority on cache-resident workloads) resolve
-        to precomputed completion deltas — applied to the caches in
-        dependency-free batches — so the schedule loop touches only
-        scalars for them.  Rows that reach the integrity scheme keep
-        their live hierarchy call, made *here* at the real cycle with
-        state in exact row order.
-
-        The gate is adaptive, per chunk: a chunk whose timing-free
-        fraction falls below the kernel's threshold sends the *next*
-        chunk through a plain row loop that calls the hierarchy once
-        per fetch line and once per load/store, exactly where :meth:`run`
-        does (cold and miss-heavy chunks are cheaper that way).
+        to precomputed completion deltas — the prepass applies their
+        LRU updates inline and their counters in bulk — so the schedule
+        loop touches only scalars for them.  Rows that reach the
+        integrity scheme keep their live hierarchy call, made *here* at
+        the real cycle with state in exact row order: the prepass stops
+        in front of each such row and resumes after its call.  Cold and
+        miss-heavy chunks take the same route.
 
         The unbounded ``complete``/``commit``/``mem_commit`` lists of
         :meth:`run` become ring buffers sized by the machine's own
@@ -234,10 +230,6 @@ class OutOfOrderCore:
         hier_store = hierarchy.store
         iline_shift = self._iline_shift
         l1i_latency = hierarchy.config.l1i.latency_cycles
-        l1_latency = hierarchy._l1_latency
-        # a data access that resolved at L1-hit-plus-TLB-walk latency is
-        # timing-free too; only genuine L1 misses count as slow rows
-        l1_tlb_latency = l1_latency + hierarchy.dtlb._miss_penalty
 
         window = max(ruu, commit_width + 1)
         # round the rings up to powers of two so the hot loop can index with
@@ -259,7 +251,6 @@ class OutOfOrderCore:
         frontend_depth = FRONTEND_DEPTH
         mispredict_penalty = MISPREDICT_PENALTY
         timing = measure_kernel.TIMING
-        min_fast = measure_kernel.MIN_FAST_FRACTION
         prepass_class = measure_kernel.MeasurePrepass
 
         fetch_cycle = start_cycle
@@ -270,166 +261,35 @@ class OutOfOrderCore:
         count = 0
         loads = stores = mispredictions = 0
         icache_stall = itlb_stall = 0
-        # optimistic start: measured runs begin from a warmed hierarchy,
-        # so the first chunk is almost always timing-free-dominated; a
-        # genuinely cold chunk just interprets its misses row by row and
-        # the observed fraction reroutes the next chunk
-        fast_fraction = 1.0
 
         for kinds, pcs, addresses, dep1s, dep2s, latencies in chunks:
-            n_rows = len(kinds)
-            if not n_rows:
+            if not kinds:
                 continue
-            if fast_fraction >= min_fast:
-                # ---- batched chunk --------------------------------------
-                pre = prepass_class(hierarchy, kinds, pcs, addresses,
-                                    last_fetch_line)
-                pre.run()
-                last_fetch_line = pre.carry
-                pre_run = pre.run
-                mem_info_col = pre.mem_info
-                base = count
-                # the info columns are ``None``-folded: one slot carries
-                # both "was the structure consulted" and the all-hit
-                # delta, so the loop unpacks six values per row and only
-                # TIMING rows reach back into the pc/address columns
-                rows = zip(kinds, dep1s, dep2s, latencies,
-                           pre.if_info, pre.mem_info)
-                # prologue: full guards while the window fills.  Once
-                # `count >= window` (>= ruu, commit_width and any
-                # dependency distance the steady loop honours), the guards
-                # `index >= ruu`, `dep <= index`, `index > 0` and
-                # `index >= commit_width` are always true, so the
-                # steady-state loop below drops them.
-                if count < window:
-                    for kind, dep1, dep2, latency, f_info, m_info in rows:
-                        index = count
-                        count += 1
-
-                        # ---- fetch --------------------------------------
-                        if fetched_in_cycle >= fetch_width:
-                            fetch_cycle += 1
-                            fetched_in_cycle = 0
-                        fetch_time = (fetch_cycle
-                                      if fetch_cycle >= fetch_blocked_until
-                                      else fetch_blocked_until)
-
-                        if index >= ruu:
-                            occupancy = commit[(index - ruu) & mask]
-                            if occupancy > fetch_time:
-                                fetch_time = occupancy
-                        is_memory = m_info is not None
-                        if is_memory and mem_count >= lsq:
-                            occupancy = mem_commit[(mem_count - lsq)
-                                                   & mem_mask]
-                            if occupancy > fetch_time:
-                                fetch_time = occupancy
-
-                        if f_info is not None:
-                            if f_info is timing:
-                                ready, _, itlb_cycles = hier_ifetch(
-                                    pcs[index - base], fetch_time)
-                                pre_run()
-                                delta = ready - fetch_time
-                                if is_memory:
-                                    # the resumed walk may just have
-                                    # (re)classified this row's data
-                                    # access; the zipped slot is stale
-                                    m_info = mem_info_col[index - base]
-                            else:
-                                delta, itlb_cycles = f_info
-                            if delta > l1i_latency:
-                                if itlb_cycles:
-                                    itlb_stall += itlb_cycles
-                                cache_delay = delta - itlb_cycles
-                                if cache_delay > l1i_latency:
-                                    icache_stall += cache_delay
-                                fetch_time += delta
-                        if fetch_time > fetch_cycle:
-                            fetch_cycle = fetch_time
-                            fetched_in_cycle = 0
-                        fetched_in_cycle += 1
-
-                        # ---- issue / execute ----------------------------
-                        ready = fetch_time + frontend_depth
-                        if dep1 and dep1 <= index and dep1 <= window:
-                            produced = complete[(index - dep1) & mask]
-                            if produced > ready:
-                                ready = produced
-                        if dep2 and dep2 <= index and dep2 <= window:
-                            produced = complete[(index - dep2) & mask]
-                            if produced > ready:
-                                ready = produced
-
-                        if kind == meas_load:
-                            if m_info is timing:
-                                data_ready, check_done = hier_load(
-                                    addresses[index - base], ready)
-                                pre_run()
-                            else:
-                                data_ready = ready + m_info
-                                check_done = data_ready
-                            done = (data_ready if data_ready > ready + 1
-                                    else ready + 1)
-                            if check_done > latest_check:
-                                latest_check = check_done
-                            loads += 1
-                        elif is_memory:  # MEAS_STORE or MEAS_STORE_FULL
-                            if m_info is timing:
-                                store_done, check_done = hier_store(
-                                    addresses[index - base], ready,
-                                    full_block=kind == meas_store_full)
-                                pre_run()
-                            else:
-                                store_done = ready + m_info
-                                check_done = store_done
-                            done = ready + 1
-                            if check_done > latest_check:
-                                latest_check = check_done
-                            stores += 1
-                            ready_for_lsq = (store_done
-                                             if store_done > done else done)
-                        else:
-                            done = ready + latency
-                        slot = index & mask
-                        complete[slot] = done
-
-                        # ---- commit -------------------------------------
-                        commit_time = done
-                        if index > 0 and prev_commit > commit_time:
-                            commit_time = prev_commit
-                        if index >= commit_width:
-                            drained = commit[(index - commit_width)
-                                             & mask] + 1
-                            if drained > commit_time:
-                                commit_time = drained
-                        commit[slot] = commit_time
-                        prev_commit = commit_time
-                        if is_memory:
-                            if kind == meas_load:
-                                mem_commit[mem_count & mem_mask] = commit_time
-                            else:
-                                mem_commit[mem_count & mem_mask] = (
-                                    commit_time
-                                    if commit_time > ready_for_lsq
-                                    else ready_for_lsq)
-                            mem_count += 1
-
-                        # ---- branch misprediction -----------------------
-                        if kind == meas_mispredict:
-                            redirect = done + mispredict_penalty
-                            if redirect > fetch_blocked_until:
-                                fetch_blocked_until = redirect
-                            mispredictions += 1
-
-                        if count >= window:
-                            break
-
+            pre = prepass_class(hierarchy, kinds, pcs, addresses,
+                                last_fetch_line)
+            pre.run()
+            last_fetch_line = pre.carry
+            pre_run = pre.run
+            mem_info_col = pre.mem_info
+            base = count
+            # the info columns are ``None``-folded: one slot carries
+            # both "was the structure consulted" and the all-hit
+            # delta, so the loop unpacks six values per row and only
+            # TIMING rows reach back into the pc/address columns
+            rows = zip(kinds, dep1s, dep2s, latencies,
+                       pre.if_info, pre.mem_info)
+            # prologue: full guards while the window fills.  Once
+            # `count >= window` (>= ruu, commit_width and any
+            # dependency distance the steady loop honours), the guards
+            # `index >= ruu`, `dep <= index`, `index > 0` and
+            # `index >= commit_width` are always true, so the
+            # steady-state loop below drops them.
+            if count < window:
                 for kind, dep1, dep2, latency, f_info, m_info in rows:
                     index = count
                     count += 1
 
-                    # ---- fetch ------------------------------------------
+                    # ---- fetch --------------------------------------
                     if fetched_in_cycle >= fetch_width:
                         fetch_cycle += 1
                         fetched_in_cycle = 0
@@ -437,12 +297,14 @@ class OutOfOrderCore:
                                   if fetch_cycle >= fetch_blocked_until
                                   else fetch_blocked_until)
 
-                    occupancy = commit[(index - ruu) & mask]
-                    if occupancy > fetch_time:
-                        fetch_time = occupancy
+                    if index >= ruu:
+                        occupancy = commit[(index - ruu) & mask]
+                        if occupancy > fetch_time:
+                            fetch_time = occupancy
                     is_memory = m_info is not None
                     if is_memory and mem_count >= lsq:
-                        occupancy = mem_commit[(mem_count - lsq) & mem_mask]
+                        occupancy = mem_commit[(mem_count - lsq)
+                                               & mem_mask]
                         if occupancy > fetch_time:
                             fetch_time = occupancy
 
@@ -454,8 +316,8 @@ class OutOfOrderCore:
                             delta = ready - fetch_time
                             if is_memory:
                                 # the resumed walk may just have
-                                # (re)classified this row's data access;
-                                # the zipped slot is stale
+                                # (re)classified this row's data
+                                # access; the zipped slot is stale
                                 m_info = mem_info_col[index - base]
                         else:
                             delta, itlb_cycles = f_info
@@ -471,13 +333,13 @@ class OutOfOrderCore:
                         fetched_in_cycle = 0
                     fetched_in_cycle += 1
 
-                    # ---- issue / execute --------------------------------
+                    # ---- issue / execute ----------------------------
                     ready = fetch_time + frontend_depth
-                    if dep1 and dep1 <= window:
+                    if dep1 and dep1 <= index and dep1 <= window:
                         produced = complete[(index - dep1) & mask]
                         if produced > ready:
                             ready = produced
-                    if dep2 and dep2 <= window:
+                    if dep2 and dep2 <= index and dep2 <= window:
                         produced = complete[(index - dep2) & mask]
                         if produced > ready:
                             ready = produced
@@ -508,135 +370,20 @@ class OutOfOrderCore:
                         if check_done > latest_check:
                             latest_check = check_done
                         stores += 1
-                        ready_for_lsq = (store_done if store_done > done
-                                         else done)
+                        ready_for_lsq = (store_done
+                                         if store_done > done else done)
                     else:
                         done = ready + latency
                     slot = index & mask
                     complete[slot] = done
 
-                    # ---- commit -----------------------------------------
-                    commit_time = done
-                    if prev_commit > commit_time:
-                        commit_time = prev_commit
-                    drained = commit[(index - commit_width) & mask] + 1
-                    if drained > commit_time:
-                        commit_time = drained
-                    commit[slot] = commit_time
-                    prev_commit = commit_time
-                    if is_memory:
-                        if kind == meas_load:
-                            mem_commit[mem_count & mem_mask] = commit_time
-                        else:
-                            mem_commit[mem_count & mem_mask] = (
-                                commit_time if commit_time > ready_for_lsq
-                                else ready_for_lsq)
-                        mem_count += 1
-
-                    # ---- branch misprediction ---------------------------
-                    if kind == meas_mispredict:
-                        redirect = done + mispredict_penalty
-                        if redirect > fetch_blocked_until:
-                            fetch_blocked_until = redirect
-                        mispredictions += 1
-                # the prepass finished with the last row; its observed
-                # timing-free fraction gates the next chunk
-                fast_fraction = pre.fast_fraction
-                continue
-
-            # ---- row loop (cold/miss-heavy chunk) -----------------------
-            # the same schedule with live hierarchy calls, plus the
-            # slow-row count that gates the next chunk (a row is slow when
-            # either of its hierarchy calls resolved above the constant
-            # L1 latency)
-            slow_rows = 0
-            rows = zip(kinds, pcs, addresses, dep1s, dep2s, latencies)
-            if count < window:
-                for kind, pc, address, dep1, dep2, latency in rows:
-                    index = count
-                    count += 1
-
-                    # ---- fetch ------------------------------------------
-                    if fetched_in_cycle >= fetch_width:
-                        fetch_cycle += 1
-                        fetched_in_cycle = 0
-                    fetch_time = (fetch_cycle
-                                  if fetch_cycle >= fetch_blocked_until
-                                  else fetch_blocked_until)
-
-                    if index >= ruu:
-                        occupancy = commit[(index - ruu) & mask]
-                        if occupancy > fetch_time:
-                            fetch_time = occupancy
-                    is_memory = meas_load <= kind <= meas_store_full
-                    if is_memory and mem_count >= lsq:
-                        occupancy = mem_commit[(mem_count - lsq) & mem_mask]
-                        if occupancy > fetch_time:
-                            fetch_time = occupancy
-
-                    line = pc >> iline_shift
-                    if line != last_fetch_line:
-                        ready, _, itlb_cycles = hier_ifetch(pc, fetch_time)
-                        if ready - fetch_time - itlb_cycles != l1i_latency:
-                            slow_rows += 1
-                        if ready > fetch_time + l1i_latency:
-                            if itlb_cycles:
-                                itlb_stall += itlb_cycles
-                            cache_delay = ready - fetch_time - itlb_cycles
-                            if cache_delay > l1i_latency:
-                                icache_stall += cache_delay
-                            fetch_time = ready
-                        last_fetch_line = line
-                    if fetch_time > fetch_cycle:
-                        fetch_cycle = fetch_time
-                        fetched_in_cycle = 0
-                    fetched_in_cycle += 1
-
-                    # ---- issue / execute --------------------------------
-                    ready = fetch_time + frontend_depth
-                    if dep1 and dep1 <= index and dep1 <= window:
-                        produced = complete[(index - dep1) & mask]
-                        if produced > ready:
-                            ready = produced
-                    if dep2 and dep2 <= index and dep2 <= window:
-                        produced = complete[(index - dep2) & mask]
-                        if produced > ready:
-                            ready = produced
-
-                    if kind == meas_load:
-                        data_ready, check_done = hier_load(address, ready)
-                        delta = data_ready - ready
-                        if delta != l1_latency and delta != l1_tlb_latency:
-                            slow_rows += 1
-                        done = (data_ready if data_ready > ready + 1
-                                else ready + 1)
-                        if check_done > latest_check:
-                            latest_check = check_done
-                        loads += 1
-                    elif is_memory:  # MEAS_STORE or MEAS_STORE_FULL
-                        store_done, check_done = hier_store(
-                            address, ready,
-                            full_block=kind == meas_store_full)
-                        delta = store_done - ready
-                        if delta != l1_latency and delta != l1_tlb_latency:
-                            slow_rows += 1
-                        done = ready + 1
-                        if check_done > latest_check:
-                            latest_check = check_done
-                        stores += 1
-                        ready_for_lsq = (store_done if store_done > done
-                                         else done)
-                    else:
-                        done = ready + latency
-                    slot = index & mask
-                    complete[slot] = done
-
-                    # ---- commit -----------------------------------------
+                    # ---- commit -------------------------------------
                     commit_time = done
                     if index > 0 and prev_commit > commit_time:
                         commit_time = prev_commit
                     if index >= commit_width:
-                        drained = commit[(index - commit_width) & mask] + 1
+                        drained = commit[(index - commit_width)
+                                         & mask] + 1
                         if drained > commit_time:
                             commit_time = drained
                     commit[slot] = commit_time
@@ -646,11 +393,12 @@ class OutOfOrderCore:
                             mem_commit[mem_count & mem_mask] = commit_time
                         else:
                             mem_commit[mem_count & mem_mask] = (
-                                commit_time if commit_time > ready_for_lsq
+                                commit_time
+                                if commit_time > ready_for_lsq
                                 else ready_for_lsq)
                         mem_count += 1
 
-                    # ---- branch misprediction ---------------------------
+                    # ---- branch misprediction -----------------------
                     if kind == meas_mispredict:
                         redirect = done + mispredict_penalty
                         if redirect > fetch_blocked_until:
@@ -660,45 +408,53 @@ class OutOfOrderCore:
                     if count >= window:
                         break
 
-            for kind, pc, address, dep1, dep2, latency in rows:
+            for kind, dep1, dep2, latency, f_info, m_info in rows:
                 index = count
                 count += 1
 
-                # ---- fetch ----------------------------------------------
+                # ---- fetch ------------------------------------------
                 if fetched_in_cycle >= fetch_width:
                     fetch_cycle += 1
                     fetched_in_cycle = 0
-                fetch_time = (fetch_cycle if fetch_cycle >= fetch_blocked_until
+                fetch_time = (fetch_cycle
+                              if fetch_cycle >= fetch_blocked_until
                               else fetch_blocked_until)
 
                 occupancy = commit[(index - ruu) & mask]
                 if occupancy > fetch_time:
                     fetch_time = occupancy
-                is_memory = meas_load <= kind <= meas_store_full
+                is_memory = m_info is not None
                 if is_memory and mem_count >= lsq:
                     occupancy = mem_commit[(mem_count - lsq) & mem_mask]
                     if occupancy > fetch_time:
                         fetch_time = occupancy
 
-                line = pc >> iline_shift
-                if line != last_fetch_line:
-                    ready, _, itlb_cycles = hier_ifetch(pc, fetch_time)
-                    if ready - fetch_time - itlb_cycles != l1i_latency:
-                        slow_rows += 1
-                    if ready > fetch_time + l1i_latency:
+                if f_info is not None:
+                    if f_info is timing:
+                        ready, _, itlb_cycles = hier_ifetch(
+                            pcs[index - base], fetch_time)
+                        pre_run()
+                        delta = ready - fetch_time
+                        if is_memory:
+                            # the resumed walk may just have
+                            # (re)classified this row's data access;
+                            # the zipped slot is stale
+                            m_info = mem_info_col[index - base]
+                    else:
+                        delta, itlb_cycles = f_info
+                    if delta > l1i_latency:
                         if itlb_cycles:
                             itlb_stall += itlb_cycles
-                        cache_delay = ready - fetch_time - itlb_cycles
+                        cache_delay = delta - itlb_cycles
                         if cache_delay > l1i_latency:
                             icache_stall += cache_delay
-                        fetch_time = ready
-                    last_fetch_line = line
+                        fetch_time += delta
                 if fetch_time > fetch_cycle:
                     fetch_cycle = fetch_time
                     fetched_in_cycle = 0
                 fetched_in_cycle += 1
 
-                # ---- issue / execute ------------------------------------
+                # ---- issue / execute --------------------------------
                 ready = fetch_time + frontend_depth
                 if dep1 and dep1 <= window:
                     produced = complete[(index - dep1) & mask]
@@ -710,31 +466,39 @@ class OutOfOrderCore:
                         ready = produced
 
                 if kind == meas_load:
-                    data_ready, check_done = hier_load(address, ready)
-                    delta = data_ready - ready
-                    if delta != l1_latency and delta != l1_tlb_latency:
-                        slow_rows += 1
-                    done = data_ready if data_ready > ready + 1 else ready + 1
+                    if m_info is timing:
+                        data_ready, check_done = hier_load(
+                            addresses[index - base], ready)
+                        pre_run()
+                    else:
+                        data_ready = ready + m_info
+                        check_done = data_ready
+                    done = (data_ready if data_ready > ready + 1
+                            else ready + 1)
                     if check_done > latest_check:
                         latest_check = check_done
                     loads += 1
                 elif is_memory:  # MEAS_STORE or MEAS_STORE_FULL
-                    store_done, check_done = hier_store(
-                        address, ready, full_block=kind == meas_store_full)
-                    delta = store_done - ready
-                    if delta != l1_latency and delta != l1_tlb_latency:
-                        slow_rows += 1
+                    if m_info is timing:
+                        store_done, check_done = hier_store(
+                            addresses[index - base], ready,
+                            full_block=kind == meas_store_full)
+                        pre_run()
+                    else:
+                        store_done = ready + m_info
+                        check_done = store_done
                     done = ready + 1
                     if check_done > latest_check:
                         latest_check = check_done
                     stores += 1
-                    ready_for_lsq = store_done if store_done > done else done
+                    ready_for_lsq = (store_done if store_done > done
+                                     else done)
                 else:
                     done = ready + latency
                 slot = index & mask
                 complete[slot] = done
 
-                # ---- commit ---------------------------------------------
+                # ---- commit -----------------------------------------
                 commit_time = done
                 if prev_commit > commit_time:
                     commit_time = prev_commit
@@ -752,14 +516,12 @@ class OutOfOrderCore:
                             else ready_for_lsq)
                     mem_count += 1
 
-                # ---- branch misprediction -------------------------------
+                # ---- branch misprediction ---------------------------
                 if kind == meas_mispredict:
                     redirect = done + mispredict_penalty
                     if redirect > fetch_blocked_until:
                         fetch_blocked_until = redirect
                     mispredictions += 1
-
-            fast_fraction = 1.0 - slow_rows / n_rows
 
         if loads:
             self.stats.add("loads", loads)

@@ -23,7 +23,7 @@ against the uncached :class:`~repro.hashtree.tree.HashTree`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..common.errors import IntegrityError
 from ..common.stats import StatGroup
@@ -136,6 +136,10 @@ class CachedHashTree:
         ]
         self.checking_enabled = checking_enabled
         self.stats = StatGroup("chash")
+        #: chunks held in a trusted buffer outside the cache while their
+        #: write-back fetches the parent or their fill evicts victims,
+        #: mapped to that buffer (see :meth:`write_back`, :meth:`_insert`).
+        self._in_flight: Dict[int, bytearray] = {}
 
     # -- the paper's four operations ------------------------------------------
 
@@ -167,8 +171,11 @@ class CachedHashTree:
         return data
 
     def read_chunk(self, chunk: int) -> bytes:
-        """ReadAndCheck: cached data is trusted and returned immediately."""
+        """ReadAndCheck: cached data is trusted and returned immediately,
+        and so is a chunk held in flight."""
         cached = self.cache.get(chunk)
+        if cached is None:
+            cached = self._in_flight.get(chunk)
         if cached is not None:
             self.stats.add("cache_hits")
             return bytes(cached)
@@ -194,12 +201,10 @@ class CachedHashTree:
             self.stats.add("cache_misses")
             if len(payload) == self.layout.chunk_bytes:
                 self.stats.add("whole_chunk_write_allocations")
-                live = self._insert(chunk, bytearray(self.layout.chunk_bytes), False)
+                live = self._insert(chunk, bytearray(payload), dirty=True)
             else:
                 data = bytearray(self.read_and_check_chunk(chunk))
                 live = self._insert(chunk, data, dirty=False)
-        # Mutate the live cache buffer: _insert may have kept a newer buffer
-        # installed by a write-back that ran during its own evictions.
         live[offset : offset + len(payload)] = payload
         self.cache.mark_dirty(chunk)
 
@@ -210,25 +215,40 @@ class CachedHashTree:
         become visible "simultaneously": the parent chunk is made resident
         *first*, so that no recursive verification (triggered by a cache
         miss on the parent) can observe the half-updated state in between.
+
+        Fetching the parent can evict and write back this chunk's own
+        children.  Their hash updates must reach this chunk's newest
+        trusted copy — ``data``, not the stale copy in memory — so while
+        the fetch runs the chunk is served from a buffer in
+        :attr:`_in_flight`, and it is hashed and stored only after the fetch.
         """
-        digest = self.hash_fn.digest(data)
-        self.stats.add("hash_computations")
         location = self.layout.hash_location(chunk)
+        buffer = bytearray(data)
+        if (not location.in_secure_memory
+                and location.parent_chunk not in self.cache):
+            self._in_flight[chunk] = buffer
+            try:
+                self.read_chunk(location.parent_chunk)
+            finally:
+                del self._in_flight[chunk]
+        digest = self.hash_fn.digest(buffer)
+        self.stats.add("hash_computations")
+        self.memory.write(self.layout.chunk_address(chunk), bytes(buffer))
+        self.stats.add("memory_chunk_writes")
         if location.in_secure_memory:
-            self.memory.write(self.layout.chunk_address(chunk), bytes(data))
-            self.stats.add("memory_chunk_writes")
             self.secure_store[location.index] = digest
             return
-        if location.parent_chunk not in self.cache:
-            self.read_chunk(location.parent_chunk)
-        self.memory.write(self.layout.chunk_address(chunk), bytes(data))
-        self.stats.add("memory_chunk_writes")
         live = self.cache.get(location.parent_chunk)
-        if live is None:  # pragma: no cover - internal consistency guard
-            raise RuntimeError("parent chunk vanished during write-back")
+        if live is not None:
+            self.cache.mark_dirty(location.parent_chunk)
+        else:
+            # the parent is in flight; its write-back or fill stores the
+            # buffer after this update
+            live = self._in_flight.get(location.parent_chunk)
+            if live is None:  # pragma: no cover - internal consistency guard
+                raise RuntimeError("parent chunk vanished during write-back")
         start = location.index * self.layout.hash_bytes
         live[start : start + self.layout.hash_bytes] = digest
-        self.cache.mark_dirty(location.parent_chunk)
 
     # -- byte-granularity protected address space -------------------------------
 
@@ -335,22 +355,34 @@ class CachedHashTree:
         return parent[start : start + self.layout.hash_bytes]
 
     def _insert(self, chunk: int, data: bytearray, dirty: bool) -> bytearray:
-        """Make ``chunk`` resident and return its live cache buffer.
+        """Make ``chunk`` resident with its trusted content ``data`` and
+        return the live cache buffer.
 
-        Evicting a dirty victim triggers a write-back whose parent-hash
-        update may itself (re)install ``chunk``; in that case the buffer
-        already in the cache is *newer* than ``data`` (it carries the
-        child's fresh hash) and must win.
+        The fetch that produced ``data`` can recurse into write-backs that
+        (re)install ``chunk``; the buffer already in the cache is then
+        *newer* than ``data`` (it carries a child's fresh hash) and wins.
+        Evicting a dirty victim here triggers a write-back whose
+        parent-hash update may land in ``chunk`` too.  While the victims
+        go, ``chunk`` is served from ``data`` (see :attr:`_in_flight`)
+        rather than reloaded from memory, and it is inserted dirty if such
+        an update changed it.
         """
-        while self.cache.full and chunk not in self.cache:
-            victim, victim_data, victim_dirty = self.cache.pop_victim()
-            self.stats.add("evictions")
-            if victim_dirty:
-                self.write_back(victim, bytes(victim_data))
         existing = self.cache.peek(chunk)
         if existing is not None:
             if dirty:
                 self.cache.mark_dirty(chunk)
             return existing
+        if self.cache.full:
+            original = bytes(data)
+            self._in_flight[chunk] = data
+            try:
+                while self.cache.full:
+                    victim, victim_data, victim_dirty = self.cache.pop_victim()
+                    self.stats.add("evictions")
+                    if victim_dirty:
+                        self.write_back(victim, bytes(victim_data))
+            finally:
+                del self._in_flight[chunk]
+            dirty = dirty or data != original
         self.cache.put(chunk, data, dirty)
         return data

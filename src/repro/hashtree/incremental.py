@@ -130,30 +130,20 @@ class IncrementalMacTree(MultiBlockHashTree):
 
     # -- overridden write-back: the incremental fast path ----------------------------
 
-    def write_back(self, block: int, data: bytes) -> None:
+    def _write_back_pinned(self, chunk: int, block: int) -> None:
         """Write back one block without assembling its chunk.
 
         Reads the parent entry (checked, through the cache), the block's
         old memory value (unchecked — this is exactly the read the paper
         worries about), updates the MAC incrementally and flips the
-        block's timestamp bit.
+        block's timestamp bit.  The inherited :meth:`write_back` pins the
+        chunk's blocks around this: the entry load may recurse into
+        evictions, and a concurrent write-back of a chunk-mate would
+        update the very entry we are about to overwrite.
         """
-        chunk = self._chunk_of_block(block)
         position = block - chunk * self.blocks_per_chunk
-        # Pin this chunk's cached blocks: the entry load below may recurse
-        # into evictions, and a concurrent write-back of a chunk-mate would
-        # update the very entry we are about to overwrite.
-        pinned_here = [b for b in self._blocks_of(chunk) if b not in self.cache.pinned]
-        self.cache.pinned.update(pinned_here)
-        try:
-            self._write_back_pinned(chunk, position, block, data)
-        finally:
-            self.cache.pinned.difference_update(pinned_here)
-
-    def _write_back_pinned(
-        self, chunk: int, position: int, block: int, data: bytes
-    ) -> None:
         entry = self._load_entry(chunk)
+        data = self._newest(block)
         stored_mac, timestamp_bits = self._unpack_entry(entry)
         old_data = self.memory.read(self._block_address(block), self.block_bytes)
         self.stats.add("unchecked_old_reads")
@@ -170,9 +160,9 @@ class IncrementalMacTree(MultiBlockHashTree):
             chunk * self.blocks_per_chunk + position,
             old_data,
             old_timestamp,
-            bytes(data),
+            data,
             new_timestamp,
         )
-        self.memory.write(self._block_address(block), bytes(data))
+        self.memory.write(self._block_address(block), data)
         self.stats.add("memory_block_writes")
         self._store_entry(chunk, self._pack_entry(new_mac, new_bits))

@@ -19,7 +19,9 @@ The trusted cache holds *blocks*.  Per the paper's modified algorithms:
 
 Blocks of the chunk being verified are pinned in the cache for the
 duration of the walk so a recursive eviction cannot mutate the memory
-image mid-check (hardware holds them in the read/write buffers).
+image mid-check (hardware holds them in the read/write buffers).  An
+evicted block whose write-back is in flight is served from its
+write-back buffer until it is stored, never from its stale memory copy.
 """
 
 from __future__ import annotations
@@ -99,6 +101,9 @@ class MultiBlockHashTree:
         ]
         self.checking_enabled = checking_enabled
         self.stats = StatGroup("mhash")
+        #: blocks whose write-back is in flight, mapped to the trusted
+        #: buffer being written back (see :meth:`write_back`).
+        self._in_flight: Dict[int, bytearray] = {}
 
     # -- block/chunk address helpers ---------------------------------------------
 
@@ -176,7 +181,8 @@ class MultiBlockHashTree:
         try:
             blocks = self.read_and_check_chunk(chunk)
             for candidate, data in zip(self._blocks_of(chunk), blocks):
-                if candidate not in self.cache:
+                if (candidate not in self.cache
+                        and candidate not in self._in_flight):
                     self._insert(candidate, bytearray(data), dirty=False)
                     if candidate not in self.cache.pinned:
                         self.cache.pinned.add(candidate)
@@ -187,6 +193,8 @@ class MultiBlockHashTree:
     def read_block(self, block: int) -> bytes:
         """ReadAndCheck at block granularity."""
         cached = self.cache.get(block)
+        if cached is None:
+            cached = self._in_flight.get(block)
         if cached is not None:
             self.stats.add("cache_hits")
             return bytes(cached)
@@ -202,6 +210,11 @@ class MultiBlockHashTree:
         if offset < 0 or offset + len(payload) > self.block_bytes:
             raise ValueError("write does not fit inside one block")
         live = self.cache.get(block)
+        if live is None and block in self._in_flight:
+            # in flight: its write-back stores the buffer after this update
+            self.stats.add("cache_hits")
+            self._in_flight[block][offset : offset + len(payload)] = payload
+            return
         if live is None:
             self.stats.add("cache_misses")
             self._fetch_chunk_into_cache(self._chunk_of_block(block))
@@ -220,27 +233,45 @@ class MultiBlockHashTree:
         paper requires the data writes and the parent-hash update to become
         visible "simultaneously", and a recursive eviction in between would
         observe (and fail on) the half-updated state.
+
+        The fetches before the writes can evict and write back children
+        of this chunk, whose entry updates must reach ``block``'s newest
+        trusted copy.  An evicted ``block`` is therefore served from a
+        buffer in :attr:`_in_flight` until it is stored; a ``block`` still
+        cached (a flush) is stored from its live cache copy.
         """
         chunk = self._chunk_of_block(block)
         pinned_here = [b for b in self._blocks_of(chunk) if b not in self.cache.pinned]
         self.cache.pinned.update(pinned_here)
+        self._in_flight[block] = bytearray(data)
         try:
-            self._write_back_pinned(chunk, block, data)
+            self._write_back_pinned(chunk, block)
         finally:
+            del self._in_flight[block]
             self.cache.pinned.difference_update(pinned_here)
 
-    def _write_back_pinned(self, chunk: int, block: int, data: bytes) -> None:
+    def _newest(self, block: int) -> bytes:
+        """``block``'s content to store once a write-back's fetches are
+        done: the live cache copy (marked clean) or the in-flight buffer."""
+        live = self.cache.peek(block)
+        if live is None:
+            return bytes(self._in_flight[block])
+        self.cache.mark_clean(block)
+        return bytes(live)
+
+    def _write_back_pinned(self, chunk: int, block: int) -> None:
         memory_image = self.read_and_check_chunk(chunk)
         # Make the parent entry block resident *now*: once the data writes
         # below start, the chunk is inconsistent until _store_entry lands,
         # and a cache miss inside _store_entry could recurse into a
         # verification of this very chunk.
         self._ensure_entry_resident(chunk)
+        data = self._newest(block)
         modified: List[bytes] = []
-        dirty_blocks: List[Tuple[int, bytes]] = [(block, bytes(data))]
+        dirty_blocks: List[Tuple[int, bytes]] = [(block, data)]
         for candidate, mem_data in zip(self._blocks_of(chunk), memory_image):
             if candidate == block:
-                modified.append(bytes(data))
+                modified.append(data)
                 continue
             cached = self.cache.peek(candidate)
             if cached is not None:
@@ -294,11 +325,10 @@ class MultiBlockHashTree:
             if data is None:  # pragma: no cover - internal consistency guard
                 self.cache.mark_clean(block)
                 continue
-            # Write back *before* marking clean: the memory-image assembly
-            # inside write_back relies on the dirty flag to know this
+            # write_back marks the block clean only after the memory-image
+            # assembly, which relies on the dirty flag to know this
             # block's memory copy is stale.
             self.write_back(block, bytes(data))
-            self.cache.mark_clean(block)
 
     def initialize_from_memory(self) -> None:
         """Compute every tree entry bottom-up from current memory contents.

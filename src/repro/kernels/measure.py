@@ -1,4 +1,4 @@
-"""Column prepass for the batched measured path.
+"""Column prepass for the measured path.
 
 :class:`MeasurePrepass` turns one packed measured chunk into per-row
 completion info the analytic schedule consumes as precomputed scalars.
@@ -45,13 +45,6 @@ from ..common.packed import MEAS_LOAD, MEAS_STORE, MEAS_STORE_FULL
 #: marks a row whose hierarchy call must happen live, at schedule time.
 TIMING = object()
 
-#: below this timing-free fraction the *next* chunk runs through
-#: ``run_vec``'s plain row loop — a miss row costs more through the walk
-#: (victim peek, L2 probes, residency bookkeeping on top of the hierarchy
-#: call) than through the row loop, so the prepass only pays for itself
-#: when resident rows dominate the chunk.
-MIN_FAST_FRACTION = 0.90
-
 #: sub-row cursor sides: the fetch probe precedes the data access.
 _IF = 0
 _MEM = 1
@@ -64,12 +57,12 @@ class MeasurePrepass:
         "hierarchy", "l1i", "l1d", "l2", "itlb", "dtlb",
         "n", "kinds", "pcs", "addresses", "carry",
         "i_blk_l", "i_page_l", "d_blk_l", "d_page_l",
-        "if_rows", "mem_rows", "if_info", "mem_info", "fast_fraction",
+        "if_rows", "mem_rows", "if_info", "mem_info",
         "live_l1i", "live_l1d",
         "_l1_latency", "_l1i_latency", "_miss_if", "_miss_delta",
         "_last_i_blk", "_last_i_page", "_last_d_blk", "_last_d_page",
         "_count_i", "_miss_i", "_count_d", "_miss_d", "_writes_d",
-        "_slow_events", "_ifp", "_memp", "_pending",
+        "_ifp", "_memp", "_pending",
     )
 
     def __init__(self, hierarchy, kinds, pcs, addresses, carry):
@@ -133,8 +126,6 @@ class MeasurePrepass:
         self._count_d = 0
         self._miss_d = 0
         self._writes_d = 0
-        self._slow_events = 0
-        self.fast_fraction = 1.0
         self._ifp = 0
         self._memp = 0
         self._pending = None
@@ -297,9 +288,9 @@ class MeasurePrepass:
         self._flush()
 
     def _apply_pending(self) -> None:
-        """Residency bookkeeping for the live call the schedule just
-        made, stashed when the prepass stopped (the victim was peeked
-        then; no state changed in between, so it is still exact)."""
+        """Apply the live-set bookkeeping for the live call the schedule
+        just made, stashed when the prepass stopped (the victim was
+        peeked then; no state changed in between, so it is still exact)."""
         side, row, blk, victim = self._pending
         self._pending = None
         if side == _IF:
@@ -317,7 +308,6 @@ class MeasurePrepass:
     def _interp_if(self, row: int, blk: int) -> bool:
         """Guaranteed-L1-I-miss fetch of ``row`` at ``now=0``; ``False``
         means the row needs a live call and the walk must stop."""
-        self._slow_events += 1
         victim = self.l1i.victim_block(blk)
         if not self.l2.probe(blk):
             # the scheme will be consulted: stop in front of the row
@@ -337,7 +327,6 @@ class MeasurePrepass:
     def _interp_mem(self, row: int, blk: int) -> bool:
         """Guaranteed-L1-D-miss access of ``row`` at ``now=0``; ``False``
         means the row needs a live call and the walk must stop."""
-        self._slow_events += 1
         l1d = self.l1d
         l2 = self.l2
         victim = l1d.victim_block(blk)
@@ -407,6 +396,3 @@ class MeasurePrepass:
             self._count_d = 0
             self._writes_d = 0
             self._miss_d = 0
-        n = self.n
-        if n:
-            self.fast_fraction = 1.0 - self._slow_events / n

@@ -54,7 +54,7 @@ class ReadBatcher:
         self._leader_running = False
         self._reads = 0
         self._batches = 0
-        self._batched_reads = 0
+        self._batch_reads = 0
 
     def read(self, address: int, length: int) -> bytes:
         """A verified read, possibly served by another caller's walk."""
@@ -85,7 +85,7 @@ class ReadBatcher:
         with self._lock:
             self._reads += len(spans)
             self._batches += 1
-            self._batched_reads += len(spans)
+            self._batch_reads += len(spans)
         return results
 
     # -- leader ------------------------------------------------------------
@@ -104,7 +104,7 @@ class ReadBatcher:
                     return
                 if len(batch) > 1:
                     self._batches += 1
-                    self._batched_reads += len(batch)
+                    self._batch_reads += len(batch)
             try:
                 self._serve(batch)
             finally:
@@ -144,5 +144,5 @@ class ReadBatcher:
             return {
                 "reads": self._reads,
                 "batches": self._batches,
-                "batched_reads": self._batched_reads,
+                "batched_reads": self._batch_reads,
             }

@@ -1,5 +1,7 @@
 """Tests for the analysis tables and the experiment registry."""
 
+import re
+
 from repro.analysis import (
     EXPERIMENTS,
     experiment_index_markdown,
@@ -46,6 +48,21 @@ class TestFormatTable:
         text = format_table("T", ["a"], [("r", [0.123456])],
                             value_format="{:8.1f}")
         assert "0.1" in text
+
+    def test_long_labels_stay_apart(self):
+        labels = ["chash/ht=6.4", "chash", "chash/ht=1.6", "chash/ht=0.8"]
+        text = format_table("T", labels, [("gzip", [1.0, 2.0, 3.0, 4.0])])
+        header, rule, row = text.splitlines()[2:]
+        assert header.split() == ["benchmark"] + labels
+        assert len(rule) == len(header) == len(row)
+        # each value ends where its label ends
+        label_ends = [m.end() for m in re.finditer(r"\S+", header)]
+        value_ends = [m.end() for m in re.finditer(r"\S+", row)]
+        assert label_ends[1:] == value_ends[1:]
+
+    def test_short_labels_keep_twelve_wide_columns(self):
+        text = format_table("T", ["a", "b"], [("row1", [1.0, 2.0])])
+        assert text.splitlines()[2] == f"{'benchmark':10s}{'a':>12s}{'b':>12s}"
 
 
 class TestGridTables:

@@ -1,17 +1,11 @@
-"""Bit-identity of the fast path's batched kernels, route by route.
+"""Bit-identity of the fast path's kernels against the object oracle.
 
-The fast path (``OutOfOrderCore.run_vec`` over packed measured columns,
-``MemoryHierarchy.warm_vec`` over packed warm columns) picks a route
-per chunk through an adaptive gate: the batched :mod:`repro.kernels`
-machinery (``MeasurePrepass`` for measurement, planned hit batches for
-warm-up) or a plain row-loop fallback.  At the default gates a real
-cell mostly takes one route — resident chunks the prepass, miss-heavy
-ones the row loop — so ``tests/test_measured_packed.py`` alone leaves
-each route untested on the patterns that avoid it.  Here the gates are
-pinned so that every chunk takes one route, and each route must equal
-the per-``Instruction`` object oracle (``REPRO_MEASURE=object``):
-cycles, instruction count, the full statistics dict and the hierarchy
-end state.
+The fast path has one route per chunk: ``OutOfOrderCore.run_vec``
+schedules every packed measured chunk from a ``MeasurePrepass``, and
+``MemoryHierarchy.warm_vec`` interprets every packed warm row.  Each
+must equal the per-``Instruction`` object oracle
+(``REPRO_MEASURE=object``): cycles, instruction count, the full
+statistics dict and the hierarchy end state.
 
 Alongside live the edge cases the prepass must not mishandle (same-set
 dependent runs, eviction storms, chunk-boundary straddles, column
@@ -36,8 +30,6 @@ from repro.common.packed import (
     MEAS_STORE_FULL,
 )
 from repro.cpu.isa import Instruction
-from repro.kernels import measure as measure_kernel
-from repro.kernels import warm as warm_kernel
 from repro.sim.system import (
     MEASURE_PATH_ENV,
     SimulatedSystem,
@@ -56,9 +48,9 @@ ALL_SCHEMES = (SchemeKind.BASE, SchemeKind.NAIVE, SchemeKind.CHASH,
 #: one profile per access pattern (wset, random, stream)
 IDENTITY_BENCHMARKS = ("gcc", "mcf", "swim")
 
-#: the fast path's per-chunk routes: the batched kernels, or the plain
-#: row loop the adaptive gate falls back to on miss-heavy chunks
-ROUTES = ("prepass", "fallback")
+#: the fast path's per-chunk routes: every measured chunk goes through
+#: the prepass
+ROUTES = ("prepass",)
 
 #: object-stream kind of each measured-mode row code
 KIND_NAMES = {
@@ -80,24 +72,6 @@ def with_l1i_block(config: SystemConfig, block_bytes: int) -> SystemConfig:
         config,
         l1i=dataclasses.replace(config.l1i, block_bytes=block_bytes),
     )
-
-
-def pin_measure_route(monkeypatch, route: str) -> None:
-    """Send every measured chunk of ``run_vec`` down one ``route``."""
-    assert route in ROUTES
-    monkeypatch.setattr(measure_kernel, "MIN_FAST_FRACTION",
-                        0.0 if route == "prepass" else 2.0)
-
-
-def pin_warm_route(monkeypatch, route: str) -> None:
-    """Send every warm-up chunk of ``warm_vec`` down one ``route``: all
-    hit runs batched however short, or every row interpreted."""
-    assert route in ROUTES
-    if route == "prepass":
-        monkeypatch.setattr(warm_kernel, "MIN_FAST_FRACTION", 0.0)
-        monkeypatch.setattr(warm_kernel, "MIN_BATCH_ROWS", 1)
-    else:
-        monkeypatch.setattr(warm_kernel, "MIN_FAST_FRACTION", 2.0)
 
 
 def as_instructions(chunks):
@@ -156,8 +130,8 @@ class TestStrictMeasureEnv:
 
 def route_results(monkeypatch, config, bench,
                   instructions=2_000, warmup=6_000):
-    """The object oracle plus the fast path pinned to each route, all
-    measured from one shared warm state."""
+    """The object oracle plus the fast path on each route, all measured
+    from one shared warm state."""
     state = prepare_warm_state(config, bench, warmup=warmup)
     monkeypatch.setenv(MEASURE_PATH_ENV, "object")
     oracle = run_from_warm_state(config, bench, state,
@@ -165,10 +139,8 @@ def route_results(monkeypatch, config, bench,
     monkeypatch.delenv(MEASURE_PATH_ENV)
     results = {}
     for route in ROUTES:
-        with monkeypatch.context() as pinned:
-            pin_measure_route(pinned, route)
-            results[route] = run_from_warm_state(
-                config, bench, state, instructions=instructions)
+        results[route] = run_from_warm_state(
+            config, bench, state, instructions=instructions)
     return oracle, results
 
 
@@ -196,48 +168,42 @@ class TestBitIdentity:
             assert result.stats == oracle.stats, route
 
     @pytest.mark.parametrize("bench", IDENTITY_BENCHMARKS)
-    def test_object_oracle_chain(self, monkeypatch, bench):
+    def test_object_oracle_chain(self, bench):
         """The whole cell in one place: warm-up *and* measurement through
         the object path equal ``prepare_warm_state`` +
-        ``run_from_warm_state`` through the fast path, on either route."""
+        ``run_from_warm_state`` through the fast path, on every route."""
         config = table1_config(SchemeKind.CHASH)
         system, stream = object_warmed_system(config, bench, 6_000)
         oracle = system.run(stream.take(2_000))
         state = prepare_warm_state(config, bench, warmup=6_000)
         for route in ROUTES:
-            with monkeypatch.context() as pinned:
-                pin_measure_route(pinned, route)
-                result = run_from_warm_state(config, bench, state,
-                                             instructions=2_000)
+            result = run_from_warm_state(config, bench, state,
+                                         instructions=2_000)
             assert result.cycles == oracle.cycles, route
             assert result.instructions == oracle.instructions, route
             assert result.stats == oracle.stats, route
 
 
 class TestWarmBackends:
-    """Both warm-up routes of ``warm_vec`` leave ``prepare_warm_state``
-    with the snapshot and parked stream the object ``warm`` produces —
-    so a warm fingerprint never depends on the route a chunk took."""
+    """``warm_vec`` leaves ``prepare_warm_state`` with the snapshot and
+    parked stream the object ``warm`` produces — so a warm fingerprint
+    never depends on which path warmed the cell."""
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_warm_state_identical_across_backends(self, monkeypatch,
-                                                   scheme):
+    def test_warm_state_identical_across_backends(self, scheme):
         config = table1_config(scheme)
         system, stream = object_warmed_system(config, "gcc", 6_000)
         suffix = stream.take(500)
-        for route in ROUTES:
-            with monkeypatch.context() as pinned:
-                pin_warm_route(pinned, route)
-                state = prepare_warm_state(config, "gcc", warmup=6_000)
-            assert state.snapshot == system.hierarchy.snapshot(), route
-            # the parked stream resumes where the object stream goes on
-            parked = InstructionStream.from_state(state.profile,
-                                                  state.stream_state)
-            assert parked.take(500) == suffix, route
+        state = prepare_warm_state(config, "gcc", warmup=6_000)
+        assert state.snapshot == system.hierarchy.snapshot()
+        # the parked stream resumes where the object stream goes on
+        parked = InstructionStream.from_state(state.profile,
+                                              state.stream_state)
+        assert parked.take(500) == suffix
 
 
 # ---------------------------------------------------------------------------
-# edge cases the batched prepass must not mishandle
+# edge cases the prepass must not mishandle
 # ---------------------------------------------------------------------------
 
 
@@ -312,7 +278,7 @@ class TestPrepassEdgeCases:
     def test_compute_and_mispredict_mix(self):
         """ALU/FP/branch rows (including mispredicts) interleaved with
         loads: the non-memory latencies and the redirect penalty must
-        survive the batched precomputation."""
+        survive the prepass's precomputation."""
         config = table1_config(SchemeKind.BASE)
         pattern = (
             (MEAS_ALU, 1), (MEAS_FP, 4), (MEAS_LOAD, 1),
@@ -335,11 +301,11 @@ class TestPrepassEdgeCases:
         assert_fast_matches_oracle(config, chunks)
 
     @pytest.mark.parametrize("route", ROUTES)
-    def test_chunk_boundary_straddles(self, monkeypatch, route):
+    def test_chunk_boundary_straddles(self, route):
         """Re-chunking the same stream (odd 97-row chunks vs one big
-        chunk) cannot change results on either route: line runs and page
+        chunk) cannot change results on any route: line runs and page
         runs straddling chunk boundaries must carry over exactly."""
-        pin_measure_route(monkeypatch, route)
+        assert route in ROUTES
         config = table1_config(SchemeKind.CHASH)
         profile = SPEC_PROFILES["gcc"]
         n = 2_000
@@ -355,11 +321,11 @@ class TestPrepassEdgeCases:
             assert state == end_state
 
     @pytest.mark.parametrize("route", ROUTES)
-    def test_columns_are_not_mutated(self, monkeypatch, route):
+    def test_columns_are_not_mutated(self, route):
         """The warm-state trace cache hands the *same* column lists to
         every cell and repeat — a route that wrote into them would
         corrupt every later run."""
-        pin_measure_route(monkeypatch, route)
+        assert route in ROUTES
         config = table1_config(SchemeKind.CHASH)
         profile = SPEC_PROFILES["mcf"]
         chunks = list(InstructionStream(profile, 0).take_packed(

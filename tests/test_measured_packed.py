@@ -14,10 +14,10 @@ Alongside the equivalence grid live the column-fidelity checks of
 two bugs this machinery exposed: the core's fetch-line shift is derived
 from the configured L1-I block size (not hard-coded to 32-byte lines),
 and fetch stalls are attributed to the structure that caused them (I-TLB
-walk vs I-cache miss).  The batched kernels behind the fast path — each
-of its per-chunk routes forced on its own, the prepass edge cases, the
-trace cache and the ``REPRO_MEASURE`` parsing — are held to the same
-oracle in ``tests/test_kernels.py``.
+walk vs I-cache miss).  The kernels behind the fast path — the
+prepass route, its edge cases, the trace cache and the
+``REPRO_MEASURE`` parsing — are held to the same oracle in
+``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.common.packed import (
 )
 from repro.cpu.isa import Instruction
 from repro.cpu.ooo import OutOfOrderCore
-from repro.kernels import warm as warm_kernel
 from repro.sim.system import (
     MEASURE_PATH_ENV,
     SimulatedSystem,
@@ -156,17 +155,11 @@ class TestWarmState:
     """``warm_vec`` leaves the hierarchy exactly where the object-stream
     ``warm`` does: the whole snapshot at the measurement boundary —
     caches, TLBs, scheme state, bus/engine state and the (reset)
-    statistics.  Both gates are lowered so every chunk takes the batched
-    path — hit runs batched however short, poisoned spans screened row
-    by row, misses interpreted per row — which the default gates reach
-    only on long, almost miss-free chunks (``tests/test_warm_replay.py``
-    covers the row interpreter they pick otherwise)."""
+    statistics — over small chunks, so chunk boundaries fall often."""
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @pytest.mark.parametrize("bench", IDENTITY_BENCHMARKS)
-    def test_warm_vec_matches_object_warm(self, monkeypatch, scheme, bench):
-        monkeypatch.setattr(warm_kernel, "MIN_FAST_FRACTION", 0.0)
-        monkeypatch.setattr(warm_kernel, "MIN_BATCH_ROWS", 1)
+    def test_warm_vec_matches_object_warm(self, scheme, bench):
         config = table1_config(scheme)
         profile = SPEC_PROFILES[bench]
         by_object = SimulatedSystem(config)
